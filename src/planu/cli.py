@@ -26,14 +26,20 @@ import numpy as np
 
 from .config import validate_config
 from .errors import ConfigError, PlanuError
-from .envs import BlocksworldEnv, OvercookedLiteEnv, StockEnv, generate_instance
-from .planner import PlannerConfig, SearchResult, rollout_recommended, run_search
+from .envs import ENVS, generate_instance  # noqa: F401 - re-exported for callers of planu.cli
+from .planner import (
+    CONFIG_FIELDS,
+    VARIANTS,
+    PlannerConfig,
+    SearchResult,
+    rollout_recommended,
+    run_search,
+)
 from .tree import snapshot
 
 SCHEMA_VERSION = 1
 EVAL_EPISODES = 5
 EVAL_SEED_OFFSET = 10_000
-INSTANCE_SEED_OFFSET = 1_000
 
 
 @dataclass(frozen=True)
@@ -50,8 +56,9 @@ class RunSpec:
 def enumerate_runs(cfg: dict) -> list[RunSpec]:
     """Deterministic, ordered Cartesian product of the sweep axes."""
     env = cfg["env"]
+    instance_axes = ENVS[env].instance_axes
     frs: list[float | None]
-    if env == "blocksworld":
+    if instance_axes:
         fr = cfg["failure_rate"]
         frs = list(fr) if isinstance(fr, list) else [fr]
         instances = range(cfg["instances"])
@@ -66,7 +73,7 @@ def enumerate_runs(cfg: dict) -> list[RunSpec]:
                     parts = [env]
                     if fr is not None:
                         parts.append(f"fr{fr:g}")
-                    if env == "blocksworld":
+                    if instance_axes:
                         parts.append(f"i{inst:02d}")
                     parts += [variant, f"s{seed}"]
                     specs.append(
@@ -84,68 +91,20 @@ def enumerate_runs(cfg: dict) -> list[RunSpec]:
 
 
 def build_env(spec: RunSpec):
-    cfg = spec.config
-    if spec.env == "stock":
-        return StockEnv(seed=spec.seed)
-    if spec.env == "blocksworld":
-        if cfg.get("instance_file"):
-            with open(cfg["instance_file"], encoding="utf-8") as fh:
-                return BlocksworldEnv.from_instance(
-                    fh.read(), failure_rate=spec.failure_rate, seed=spec.seed
-                )
-        return generate_instance(
-            cfg["n_steps"],
-            cfg["n_blocks"],
-            failure_rate=spec.failure_rate,
-            seed=INSTANCE_SEED_OFFSET + spec.instance_index,
-        )
-    if spec.env == "overcooked":
-        return OvercookedLiteEnv(cfg["recipe"], cfg["chop_failure_rate"], seed=spec.seed)
-    raise ConfigError([f"unknown env {spec.env!r}"])
-
-
-# the small one-shot stock task needs a stronger novelty signal than the
-# multi-step domains to pull the search off the sure-profit action
-ENV_OUTPUT_GAIN = {"stock": 100.0, "blocksworld": 10.0, "overcooked": 10.0}
+    return ENVS[spec.env].build(spec)
 
 
 def planner_config(spec: RunSpec) -> PlannerConfig:
-    cfg = spec.config
-    gain = cfg["rnd_output_gain"]
-    if gain is None:
-        gain = ENV_OUTPUT_GAIN[spec.env]
-    return PlannerConfig(
-        iterations=cfg["iterations"],
-        depth_limit=cfg["depth_limit"],
-        n_q=cfg["n_q"],
-        c1=cfg["c1"],
-        gamma=cfg["gamma"],
-        qr_step=cfg["qr_step"],
-        qr_step_decay=cfg["qr_step_decay"],
-        kappa=cfg["kappa"],
-        psi_operator=cfg["psi_operator"],
-        variant=spec.variant,
-        seed=spec.seed,
-        intrinsic_reward_weight=cfg["intrinsic_reward_weight"],
-        rnd_output_gain=gain,
-        identity=cfg["identity"],
-        similarity_threshold=cfg["similarity_threshold"],
-        deterministicize_k=cfg["deterministicize_k"],
-    )
+    """The run's planner parameters; a null one takes the env's default."""
+    kind = ENVS[spec.env]
+    params = {f.name: spec.config[f.name] for f in CONFIG_FIELDS}
+    params.update({name: getattr(kind, name) for name, v in params.items() if v is None})
+    return PlannerConfig(**params, variant=spec.variant, seed=spec.seed)
 
 
 def _first_success_iteration(spec: RunSpec, result: SearchResult) -> int | None:
-    for trace in result.traces:
-        if spec.env == "stock":
-            if trace.recommended_so_far == "buy_a":
-                return trace.index + 1
-        elif spec.env == "blocksworld":
-            if trace.terminal and trace.total_reward >= 1.0:
-                return trace.index + 1
-        elif spec.env == "overcooked":
-            if trace.terminal and trace.total_reward > 0.5:
-                return trace.index + 1
-    return None
+    solved = ENVS[spec.env].solved
+    return next((t.index + 1 for t in result.traces if solved(t)), None)
 
 
 def execute_run(spec: RunSpec) -> dict:
@@ -164,10 +123,8 @@ def execute_run(spec: RunSpec) -> dict:
         reached.append(done and total > 0.5)
     realized = float(np.mean(returns))
 
-    if spec.env == "stock":
-        success = result.recommended_action == "buy_a"
-    else:
-        success = bool(reached[0])
+    kind = ENVS[spec.env]
+    success = reached[0] if kind.judged_by_rollout else kind.solved(result.traces[-1])
 
     first = _first_success_iteration(spec, result)
     return {
@@ -306,8 +263,6 @@ def _overrides(args) -> dict:
         over["variants"] = [args.variant]
     if getattr(args, "out", None) is not None:
         over["out_dir"] = args.out
-    if getattr(args, "offline", False):
-        over["offline"] = True
     return over
 
 
@@ -358,10 +313,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run a single search")
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--seed", type=int)
-    p_run.add_argument("--env", choices=("stock", "blocksworld", "overcooked"))
-    p_run.add_argument("--variant", choices=("full", "no_dist", "no_ucc", "deterministic_baseline"))
+    p_run.add_argument("--env", choices=list(ENVS))
+    p_run.add_argument("--variant", choices=list(VARIANTS))
     p_run.add_argument("--out")
-    p_run.add_argument("--offline", action="store_true")
     p_run.set_defaults(func=_cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="run the configured sweep grid")

@@ -9,130 +9,64 @@ line-numbered diagnostics rather than silently ignored.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
+from .envs import ENVS
+from .envs.overcooked import RECIPES
 from .errors import ConfigError
-from .quantile import PsiOperator
-
-ENVS = ("stock", "blocksworld", "overcooked")
-VARIANTS = ("full", "no_dist", "no_ucc", "deterministic_baseline")
-RECIPES = ("tomato_salad", "tomato_lettuce_salad", "full_salad")
-PSI_OPERATORS = tuple(op.value for op in PsiOperator)
+from .planner import CONFIG_FIELDS, VARIANTS
+from .rules import Rule, at_least, is_int, one_of, real
 
 
-def _is_int(x):
-    return isinstance(x, int) and not isinstance(x, bool)
+def _planner_key(f) -> Rule:
+    rule = f.metadata["rule"]
+    if not f.metadata["env_default"]:
+        return rule
+    return Rule(
+        lambda x: x is None or rule.check(x), f"{rule.describe} (null selects the env's default)"
+    )
 
 
-def _is_num(x):
-    return _is_int(x) or isinstance(x, float)
+def _nonempty_list(item):
+    return lambda x: isinstance(x, list) and len(x) > 0 and all(item(v) for v in x)
 
 
-@dataclass(frozen=True)
-class _Key:
-    check: callable
-    describe: str
+_RATE = real(0.0, 1.0)
+_PATH = Rule(lambda x: isinstance(x, str) and x, "nonempty path")
 
-
-def _int_range(lo, hi=None):
-    def check(x):
-        return _is_int(x) and x >= lo and (hi is None or x <= hi)
-
-    return check
-
-
-def _float_range(lo, hi=None, lo_open=False):
-    def check(x):
-        if not _is_num(x):
-            return False
-        if lo_open and not x > lo:
-            return False
-        if not lo_open and not x >= lo:
-            return False
-        return hi is None or x <= hi
-
-    return check
-
-
-def _choice(options):
-    return lambda x: x in options
-
-
-def _int_list(x):
-    return isinstance(x, list) and len(x) > 0 and all(_is_int(v) for v in x)
-
-
-def _rate_or_list(x):
-    if _is_num(x):
-        return 0.0 <= x <= 1.0
-    return isinstance(x, list) and len(x) > 0 and all(_is_num(v) and 0.0 <= v <= 1.0 for v in x)
-
-
-SCHEMA: dict[str, _Key] = {
-    "env": _Key(_choice(ENVS), f"one of {ENVS}"),
-    "seeds": _Key(_int_list, "nonempty list of integers"),
-    "variants": _Key(
-        lambda x: isinstance(x, list) and len(x) > 0 and all(v in VARIANTS for v in x),
-        f"nonempty list drawn from {VARIANTS}",
+SCHEMA: dict[str, Rule] = {
+    "env": one_of(ENVS),
+    "seeds": Rule(_nonempty_list(is_int), "nonempty list of integers"),
+    "variants": Rule(
+        _nonempty_list(one_of(VARIANTS).check), f"nonempty list drawn from {tuple(VARIANTS)}"
     ),
-    "iterations": _Key(_int_range(1), "integer >= 1"),
-    "depth_limit": _Key(_int_range(1), "integer >= 1"),
-    "n_q": _Key(_int_range(1), "integer >= 1"),
-    "c1": _Key(_float_range(0.0), "real >= 0"),
-    "gamma": _Key(_float_range(0.0, 1.0, lo_open=True), "real in (0, 1]"),
-    "qr_step": _Key(_float_range(0.0, lo_open=True), "positive real"),
-    "qr_step_decay": _Key(_float_range(0.0, 1.0, lo_open=True), "real in (0, 1]"),
-    "kappa": _Key(_float_range(0.0, lo_open=True), "positive real"),
-    "psi_operator": _Key(_choice(PSI_OPERATORS), f"one of {PSI_OPERATORS}"),
-    "failure_rate": _Key(_rate_or_list, "rate in [0, 1] or a nonempty list of rates"),
-    "n_steps": _Key(lambda x: _is_int(x) and x >= 2 and x % 2 == 0, "even integer >= 2"),
-    "n_blocks": _Key(_int_range(3), "integer >= 3"),
-    "instances": _Key(_int_range(1), "integer >= 1"),
-    "instance_file": _Key(lambda x: isinstance(x, str) and x, "nonempty path"),
-    "recipe": _Key(_choice(RECIPES), f"one of {RECIPES}"),
-    "chop_failure_rate": _Key(_float_range(0.0, 1.0), "rate in [0, 1]"),
-    "deterministicize_k": _Key(
-        lambda x: _is_int(x) and x >= 1 and x % 2 == 1, "positive odd integer"
+    **{f.name: _planner_key(f) for f in CONFIG_FIELDS},
+    "failure_rate": Rule(
+        lambda x: _RATE.check(x) or _nonempty_list(_RATE.check)(x),
+        "rate in [0, 1] or a nonempty list of rates",
     ),
-    "identity": _Key(_choice(("digest", "similar")), "one of ('digest', 'similar')"),
-    "similarity_threshold": _Key(_float_range(0.0, 1.0), "real in [0, 1]"),
-    "rnd_output_gain": _Key(
-        lambda x: x is None or (_is_num(x) and x > 0.0),
-        "positive real (null selects a per-task default)",
-    ),
-    "intrinsic_reward_weight": _Key(_float_range(0.0), "real >= 0"),
-    "out_dir": _Key(lambda x: isinstance(x, str) and x, "nonempty path"),
-    "parallelism": _Key(_int_range(0), "integer >= 0 (0 = auto)"),
-    "offline": _Key(lambda x: isinstance(x, bool), "boolean"),
+    "n_steps": Rule(lambda x: is_int(x) and x >= 2 and x % 2 == 0, "even integer >= 2"),
+    "n_blocks": at_least(3),
+    "instances": at_least(1),
+    "instance_file": _PATH,
+    "recipe": one_of(RECIPES),
+    "chop_failure_rate": _RATE,
+    "out_dir": _PATH,
+    "parallelism": Rule(at_least(0).check, "integer >= 0 (0 = auto)"),
 }
 
 DEFAULTS: dict = {
     "env": "stock",
     "seeds": [0],
     "variants": ["full"],
-    "iterations": 200,
-    "depth_limit": 10,
-    "n_q": 51,
-    "c1": 0.25,
-    "gamma": 0.95,
-    "qr_step": 2.0,
-    "qr_step_decay": 0.75,
-    "kappa": 0.05,
-    "psi_operator": "mean",
+    **{f.name: None if f.metadata["env_default"] else f.default for f in CONFIG_FIELDS},
     "failure_rate": 0.2,
     "n_steps": 4,
     "n_blocks": 4,
     "instances": 1,
     "recipe": "tomato_salad",
     "chop_failure_rate": 0.2,
-    "deterministicize_k": 5,
-    "identity": "digest",
-    "similarity_threshold": 0.95,
-    "rnd_output_gain": None,
-    "intrinsic_reward_weight": 0.01,
     "out_dir": "runs",
     "parallelism": 0,
-    "offline": False,
 }
 
 

@@ -73,7 +73,7 @@ class OvercookedLiteEnv:
             acts.append("get_bowl")
         elif s["hand"] == "bowl":
             acts.append("deliver")
-        else:
+        elif s["board"] == "none":
             acts.append("go_cutting_board")
         if s["board"] != "none":
             acts.append("chop")

@@ -1,12 +1,6 @@
-"""Pure-numpy implementation of the quantile-regression kernels.
-
-Used as the fallback when the compiled extension is unavailable; the
-compiled module exposes the exact same functions.
-"""
+"""Quantile-regression kernels: the loss and its analytic gradient in numpy."""
 
 import numpy as np
-
-BACKEND = "python"
 
 
 def qr_loss(values, taus, targets, kappa):

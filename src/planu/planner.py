@@ -10,62 +10,16 @@ means).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .errors import SearchError
 from .novelty import HashEmbedding, RndModel, StateBuffer
 from .quantile import PsiOperator
-from .tree import PathStep, Tree, backpropagate, recommend, select_action
+from .rules import ODD, Rule, at_least, one_of, real
+from .tree import PathStep, StateKey, Tree, backpropagate, recommend, select_action
 from .envs.wrappers import deterministicize
-
-VARIANTS = ("full", "no_dist", "no_ucc", "deterministic_baseline")
-
-
-@dataclass(frozen=True)
-class PlannerConfig:
-    iterations: int = 200
-    depth_limit: int = 10
-    n_q: int = 51
-    c1: float = 0.25
-    gamma: float = 0.95
-    qr_step: float = 2.0
-    qr_step_decay: float = 0.75
-    kappa: float = 0.05
-    psi_operator: PsiOperator = PsiOperator.MEAN
-    variant: str = "full"
-    seed: int = 0
-    # curiosity model
-    embed_dim: int = 384
-    rnd_learning_rate: float = 1e-5
-    intrinsic_reward_weight: float = 0.01
-    rnd_output_gain: float = 10.0
-    buffer_capacity: int = 10_000
-    rnd_batch_size: int = 64
-    update_per_collect: int = 5
-    # state identity
-    identity: str = "digest"
-    similarity_threshold: float = 0.95
-    # baseline wrapper
-    deterministicize_k: int = 5
-
-    def __post_init__(self):
-        checks = [
-            (self.iterations >= 1, "iterations must be >= 1"),
-            (self.depth_limit >= 1, "depth_limit must be >= 1"),
-            (self.n_q >= 1, "n_q must be >= 1"),
-            (self.c1 >= 0.0, "c1 must be >= 0"),
-            (0.0 < self.gamma <= 1.0, "gamma must be in (0, 1]"),
-            (self.qr_step > 0.0, "qr_step must be positive"),
-            (0.0 < self.qr_step_decay <= 1.0, "qr_step_decay must be in (0, 1]"),
-            (self.kappa > 0.0, "kappa must be positive"),
-            (self.variant in VARIANTS, f"variant must be one of {VARIANTS}"),
-        ]
-        bad = [msg for ok, msg in checks if not ok]
-        if bad:
-            raise ValueError("; ".join(bad))
-        object.__setattr__(self, "psi_operator", PsiOperator(self.psi_operator))
 
 
 @dataclass(frozen=True)
@@ -78,16 +32,64 @@ class VariantBehavior:
     wrap_env: bool
 
 
+VARIANTS = {
+    "full": VariantBehavior(True, "curiosity", True, False),
+    "no_dist": VariantBehavior(False, "curiosity", True, False),
+    "no_ucc": VariantBehavior(True, "uct", False, False),
+    "deterministic_baseline": VariantBehavior(False, "curiosity", True, True),
+}
+
+
+def _param(default, rule: Rule, key: bool = True, env_default: bool = False):
+    """A checked planner parameter.
+
+    key exposes it as a config key of the same name; env_default lets the
+    config leave it null, which selects the environment's own default.
+    """
+    return field(default=default, metadata={"rule": rule, "key": key, "env_default": env_default})
+
+
+@dataclass(frozen=True)
+class PlannerConfig:
+    iterations: int = _param(200, at_least(1))
+    depth_limit: int = _param(10, at_least(1))
+    n_q: int = _param(51, at_least(1))
+    c1: float = _param(0.25, real(0.0))
+    gamma: float = _param(0.95, real(0.0, 1.0, lo_open=True))
+    qr_step: float = _param(2.0, real(0.0, lo_open=True))
+    qr_step_decay: float = _param(0.75, real(0.0, 1.0, lo_open=True))
+    kappa: float = _param(0.05, real(0.0, lo_open=True))
+    psi_operator: PsiOperator = _param("mean", one_of(op.value for op in PsiOperator))
+    variant: str = _param("full", one_of(VARIANTS), key=False)
+    seed: int = 0
+    # curiosity model
+    embed_dim: int = 384
+    rnd_learning_rate: float = 1e-5
+    intrinsic_reward_weight: float = _param(0.01, real(0.0))
+    rnd_output_gain: float = _param(10.0, real(0.0, lo_open=True), env_default=True)
+    buffer_capacity: int = 10_000
+    rnd_batch_size: int = 64
+    update_per_collect: int = 5
+    # baseline wrapper
+    deterministicize_k: int = _param(5, ODD)
+
+    def __post_init__(self):
+        bad = [
+            f"{f.name} must be {f.metadata['rule'].describe}"
+            for f in fields(self)
+            if "rule" in f.metadata and not f.metadata["rule"].check(getattr(self, f.name))
+        ]
+        if bad:
+            raise ValueError("; ".join(bad))
+        object.__setattr__(self, "psi_operator", PsiOperator(self.psi_operator))
+
+
+# the parameters a config file sets, under the same names
+CONFIG_FIELDS = tuple(f for f in fields(PlannerConfig) if f.metadata.get("key"))
+
+
 def apply_variant(cfg: PlannerConfig) -> VariantBehavior:
-    if cfg.variant == "full":
-        return VariantBehavior(True, "curiosity", True, False)
-    if cfg.variant == "no_dist":
-        return VariantBehavior(False, "curiosity", True, False)
-    if cfg.variant == "no_ucc":
-        return VariantBehavior(True, "uct", False, False)
-    if cfg.variant == "deterministic_baseline":
-        return VariantBehavior(False, "curiosity", True, True)
-    raise ValueError(f"unknown variant {cfg.variant!r}")
+    return VARIANTS[cfg.variant]
 
 
 class UniformPolicy:
@@ -154,14 +156,7 @@ def run_search(env, policy, cfg: PlannerConfig, embedding_provider=None) -> Sear
         )
         buffer = StateBuffer(cfg.buffer_capacity)
 
-    tree = Tree(
-        root_text,
-        n_q=cfg.n_q,
-        distributional=behavior.distributional,
-        identity=cfg.identity,
-        embedding_provider=provider if cfg.identity == "similar" else None,
-        similarity_threshold=cfg.similarity_threshold,
-    )
+    tree = Tree(root_text, n_q=cfg.n_q, distributional=behavior.distributional)
 
     def observe(text: str):
         if rnd is None:
@@ -252,9 +247,5 @@ def rollout_recommended(env, tree: Tree, seed: int, max_steps: int | None = None
         actions.append(action_text)
         if done:
             break
-        if a is not None:
-            child = a.children.get(tree.resolve(state, node.depth + 1).digest)
-        else:
-            child = None
-        node = child
+        node = a.children.get(StateKey.from_text(state).digest) if a is not None else None
     return total, done, actions

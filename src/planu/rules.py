@@ -1,0 +1,45 @@
+"""Value checks shared by the planner's parameters and the config schema.
+
+A Rule pairs a predicate with the phrase that says what it accepts, so an
+error message and the check it reports on can never drift apart.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable
+
+
+def is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def is_num(x) -> bool:
+    return is_int(x) or isinstance(x, float)
+
+
+@dataclass(frozen=True)
+class Rule:
+    check: Callable[[object], bool]
+    describe: str
+
+
+def at_least(lo: int) -> Rule:
+    return Rule(lambda x: is_int(x) and x >= lo, f"integer >= {lo}")
+
+
+def real(lo: float, hi: float | None = None, lo_open: bool = False) -> Rule:
+    def check(x):
+        return is_num(x) and (x > lo if lo_open else x >= lo) and (hi is None or x <= hi)
+
+    if hi is None:
+        return Rule(check, f"real {'>' if lo_open else '>='} {lo:g}")
+    return Rule(check, f"real in {'(' if lo_open else '['}{lo:g}, {hi:g}]")
+
+
+def one_of(options) -> Rule:
+    options = tuple(options)
+    return Rule(lambda x: x in options, f"one of {options}")
+
+
+ODD = Rule(lambda x: is_int(x) and x >= 1 and x % 2 == 1, "positive odd integer")

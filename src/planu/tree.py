@@ -89,28 +89,12 @@ class Tree:
 
     Re-encountering an outcome already represented at the same depth reuses
     the existing node, so repeated stochastic samples accumulate statistics
-    instead of duplicating subtrees. An optional similarity identity mode
-    merges states whose embeddings have cosine similarity above a threshold.
+    instead of duplicating subtrees.
     """
 
-    def __init__(
-        self,
-        root_text: str,
-        n_q: int = 51,
-        distributional: bool = True,
-        identity: str = "digest",
-        embedding_provider=None,
-        similarity_threshold: float = 0.95,
-    ):
-        if identity not in ("digest", "similar"):
-            raise ValueError(f"unknown identity mode {identity!r}")
-        if identity == "similar" and embedding_provider is None:
-            raise ValueError("similarity identity mode requires an embedding provider")
+    def __init__(self, root_text: str, n_q: int = 51, distributional: bool = True):
         self.n_q = n_q
         self.distributional = distributional
-        self.identity = identity
-        self.provider = embedding_provider
-        self.similarity_threshold = similarity_threshold
         self._index: dict[tuple[str, int], StateNode] = {}
         self.root = self._register(StateKey.from_text(root_text), depth=0, terminal=False)
 
@@ -120,27 +104,6 @@ class Tree:
             node = StateNode(key=key, depth=depth, is_terminal=terminal)
             self._index[(key.digest, depth)] = node
         return node
-
-    def _resolve_key(self, text: str, depth: int) -> StateKey:
-        key = StateKey.from_text(text)
-        if self.identity == "digest" or (key.digest, depth) in self._index:
-            return key
-        vec = self.provider.embed(text)
-        norm = np.linalg.norm(vec)
-        if norm == 0.0:
-            return key
-        for (_, d), node in self._index.items():
-            if d != depth:
-                continue
-            other = self.provider.embed(node.key.canonical)
-            denom = norm * np.linalg.norm(other)
-            if denom > 0.0 and float(vec @ other) / denom >= self.similarity_threshold:
-                return node.key
-        return key
-
-    def resolve(self, text: str, depth: int) -> StateKey:
-        """Public identity resolution (used when replaying a plan)."""
-        return self._resolve_key(text, depth)
 
     def nodes(self) -> list[StateNode]:
         return list(self._index.values())
@@ -163,7 +126,7 @@ class Tree:
 
     def attach_outcome(self, a: ActionNode, next_text: str, depth: int, terminal: bool) -> StateNode:
         """Return the child for this outcome, creating it on first sight."""
-        key = self._resolve_key(next_text, depth)
+        key = StateKey.from_text(next_text)
         child = a.children.get(key.digest)
         if child is None:
             child = self._register(key, depth, terminal)

@@ -12,18 +12,13 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
+from planu import kernels
 from planu.cli import run_sweep
 from planu.config import DEFAULTS
 from planu.envs import BlocksworldEnv, StockEnv, generate_instance
-from planu.kernels import _qr_py
 from planu.novelty import RndModel, StateBuffer, hash_embed
 from planu.planner import PlannerConfig, rollout_recommended, run_search
 from planu.quantile import init_from_prior, midpoints, qr_update
-
-try:
-    from planu.kernels import _qr_c
-except ImportError:
-    _qr_c = None
 
 SEEDS_20 = range(20)
 STOCK_GAIN = 100.0
@@ -168,7 +163,6 @@ def test_bandit_quantile_convergence(capsys):
 def test_gradient_matches_finite_differences(capsys):
     """[4] analytic quantile-regression gradient vs central differences."""
     rng = np.random.default_rng(0)
-    backends = [("python", _qr_py)] + ([("compiled", _qr_c)] if _qr_c else [])
     worst = 0.0
     worst_abs = 0.0
     cases = 0
@@ -182,22 +176,21 @@ def test_gradient_matches_finite_differences(capsys):
         kappa = float(rng.uniform(0.5, 2.0)) if case % 2 else float(rng.uniform(0.01, 0.1))
         taus = midpoints(nq)
         eps = 1e-6
-        for name, impl in backends:
-            grad = impl.qr_gradient(values, taus, targets, kappa)
-            for i in range(nq):
-                plus = values.copy()
-                minus = values.copy()
-                plus[i] += eps
-                minus[i] -= eps
-                fd = (
-                    impl.qr_loss(plus, taus, targets, kappa)
-                    - impl.qr_loss(minus, taus, targets, kappa)
-                ) / (2 * eps)
-                scale = max(abs(fd), abs(grad[i]), 1e-8)
-                rel = abs(grad[i] - fd) / scale
-                worst_abs = max(worst_abs, abs(grad[i] - fd))
-                if abs(grad[i] - fd) > 1e-7:  # kink crossings excluded by abs floor
-                    worst = max(worst, rel)
+        grad = kernels.qr_gradient(values, taus, targets, kappa)
+        for i in range(nq):
+            plus = values.copy()
+            minus = values.copy()
+            plus[i] += eps
+            minus[i] -= eps
+            fd = (
+                kernels.qr_loss(plus, taus, targets, kappa)
+                - kernels.qr_loss(minus, taus, targets, kappa)
+            ) / (2 * eps)
+            scale = max(abs(fd), abs(grad[i]), 1e-8)
+            rel = abs(grad[i] - fd) / scale
+            worst_abs = max(worst_abs, abs(grad[i] - fd))
+            if abs(grad[i] - fd) > 1e-7:  # kink crossings excluded by abs floor
+                worst = max(worst, rel)
         cases += 1
     ok = worst <= 1e-4
     report(
@@ -205,7 +198,7 @@ def test_gradient_matches_finite_differences(capsys):
         4,
         "gradient fidelity",
         ok,
-        f"{cases} randomized cases x {len(backends)} backend(s); worst rel err {worst:.2e}, "
+        f"{cases} randomized cases; worst rel err {worst:.2e}, "
         f"worst abs diff {worst_abs:.2e}",
     )
     assert ok

@@ -3,9 +3,10 @@ import os
 
 import pytest
 
-from planu.cli import build_env, enumerate_runs, main, planner_config, run_sweep
-from planu.config import validate_config
-from planu.envs import BlocksworldEnv, OvercookedLiteEnv, StockEnv
+from planu.cli import build_env, enumerate_runs, execute_run, main, planner_config, run_sweep
+from planu.config import DEFAULTS, validate_config
+from planu.envs import ENVS, BlocksworldEnv, OvercookedLiteEnv, StockEnv
+from planu.planner import VARIANTS
 
 STOCK_CFG = """
 env = stock
@@ -98,6 +99,17 @@ class TestBuildEnvAndConfig:
     def test_explicit_output_gain_wins(self, tmp_path):
         cfg = load_cfg(tmp_path, STOCK_CFG, rnd_output_gain=5.0)
         assert planner_config(enumerate_runs(cfg)[0]).rnd_output_gain == 5.0
+
+
+@pytest.mark.parametrize("variant", list(VARIANTS))
+@pytest.mark.parametrize("env", list(ENVS))
+def test_every_env_and_variant_runs(env, variant):
+    spec = enumerate_runs({**DEFAULTS, "env": env, "variants": [variant], "iterations": 30})[0]
+    record = execute_run(spec)
+    assert "error" not in record
+    tree = record["tree"]
+    root = next(n for n in tree["nodes"] if n["id"] == tree["root"])
+    assert root["visits"] == 30
 
 
 class TestRunSweep:

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from planu.cli import build_env, enumerate_runs
+from planu.config import DEFAULTS
 from planu.envs import (
+    ENVS,
     BlocksworldEnv,
     DeterministicizedEnv,
     OvercookedLiteEnv,
@@ -271,6 +274,43 @@ class TestOvercookedLite:
         env = OvercookedLiteEnv()
         state = env.reset(0)
         assert env.legal_actions(state) == ["get_bowl", "get_lettuce", "get_onion", "get_tomato"]
+
+    def test_occupied_board_not_offered(self):
+        env = OvercookedLiteEnv("tomato_lettuce_salad")
+        state = "t=3 hand=tomato board=lettuce tomato=held lettuce=on_board onion=raw"
+        assert env.legal_actions(state) == ["chop"]
+
+
+BFS_DEPTH = 14
+
+
+@pytest.mark.parametrize("rate", [0.0, 1.0])
+@pytest.mark.parametrize("name", list(ENVS))
+def test_every_offered_action_steps(name, rate):
+    """Breadth-first from reset: no state offers an action that step rejects.
+
+    Failure rates 0 and 1 make every stochastic outcome deterministic, so
+    the two searches together reach both outcomes of each risky action.
+    """
+    env = build_env(enumerate_runs({**DEFAULTS, "env": name, "failure_rate": rate,
+                                    "chop_failure_rate": rate})[0])
+    frontier = [env.reset(0)]
+    seen = set(frontier)
+    rejected = []
+    for _ in range(BFS_DEPTH):
+        reached = []
+        for state in frontier:
+            for action in env.legal_actions(state):
+                try:
+                    nxt, _, done = env.step(state, action)
+                except EnvError as exc:
+                    rejected.append((state, action, str(exc)))
+                    continue
+                if not done and nxt not in seen:
+                    seen.add(nxt)
+                    reached.append(nxt)
+        frontier = reached
+    assert rejected == []
 
 
 class TestDeterministicized:

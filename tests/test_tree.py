@@ -242,22 +242,3 @@ class TestSnapshot:
         action = root_node["actions"][0]
         assert {"id", "kind", "action_text", "prior", "mean", "N", "children"} <= set(action)
 
-
-class TestSimilarityIdentity:
-    def test_similar_mode_merges_near_duplicate_states(self):
-        class StubProvider:
-            dimension = 3
-
-            def embed(self, text):
-                base = {"root": [1.0, 0.0, 0.0], "s1": [0.0, 1.0, 0.0], "s1b": [0.01, 1.0, 0.0]}
-                return np.array(base.get(text, [0.0, 0.0, 1.0]))
-
-        tree = Tree("root", identity="similar", embedding_provider=StubProvider())
-        (a, b) = tree.expand(tree.root, [("x", 0.5), ("y", 0.5)])
-        c1 = tree.attach_outcome(a, "s1", depth=1, terminal=False)
-        c2 = tree.attach_outcome(b, "s1b", depth=1, terminal=False)
-        assert c1 is c2
-
-    def test_similar_mode_requires_provider(self):
-        with pytest.raises(ValueError):
-            Tree("root", identity="similar")
