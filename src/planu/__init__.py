@@ -7,20 +7,11 @@ Ships stochastic benchmark environments, ablation variants, a
 deterministicized-baseline wrapper, and an experiment CLI.
 """
 
-from .errors import (
-    ConfigError,
-    EnvError,
-    MalformedResponseError,
-    OfflineCacheMissError,
-    PlanuError,
-    SearchError,
-    TransportError,
-)
+from .errors import ConfigError, EnvError, PlanuError, SearchError
 from .planner import (
     PlannerConfig,
     SearchResult,
     UniformPolicy,
-    apply_variant,
     rollout_recommended,
     run_search,
 )
@@ -42,7 +33,6 @@ __all__ = [
     "PlannerConfig",
     "SearchResult",
     "UniformPolicy",
-    "apply_variant",
     "rollout_recommended",
     "run_search",
     "PsiOperator",
@@ -64,7 +54,4 @@ __all__ = [
     "SearchError",
     "EnvError",
     "ConfigError",
-    "TransportError",
-    "MalformedResponseError",
-    "OfflineCacheMissError",
 ]

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 
 from .envs import ENVS
+from .envs.blocksworld import MAX_BLOCKS
 from .envs.overcooked import RECIPES
 from .errors import ConfigError
 from .planner import CONFIG_FIELDS, VARIANTS
@@ -45,7 +46,9 @@ SCHEMA: dict[str, Rule] = {
         "rate in [0, 1] or a nonempty list of rates",
     ),
     "n_steps": Rule(lambda x: is_int(x) and x >= 2 and x % 2 == 0, "even integer >= 2"),
-    "n_blocks": at_least(3),
+    "n_blocks": Rule(
+        lambda x: is_int(x) and 3 <= x <= MAX_BLOCKS, f"integer in [3, {MAX_BLOCKS}]"
+    ),
     "instances": at_least(1),
     "instance_file": _PATH,
     "recipe": one_of(RECIPES),
@@ -166,6 +169,12 @@ def validate_config(path: str, overrides: dict | None = None) -> dict:
             )
         else:
             merged[key] = value
+    instances = merged["instances"]
+    if merged.get("instance_file") and is_int(instances) and instances > 1:
+        diagnostics.append(
+            f"{where('instances')}key 'instances': expected 1 with instance_file, which "
+            f"fixes the one instance, got {instances!r}"
+        )
     if diagnostics:
         raise ConfigError(diagnostics)
     if isinstance(merged["failure_rate"], list):

@@ -11,7 +11,7 @@ from .base import Environment
 from .blocksworld import BlocksworldEnv, generate_instance, parse_facts, parse_instance
 from .overcooked import OvercookedLiteEnv
 from .stock import StockEnv
-from .wrappers import DeterministicizedEnv, deterministicize
+from .wrappers import DeterministicizedEnv
 
 INSTANCE_SEED_OFFSET = 1_000
 
@@ -80,7 +80,6 @@ __all__ = [
     "BlocksworldEnv",
     "OvercookedLiteEnv",
     "DeterministicizedEnv",
-    "deterministicize",
     "generate_instance",
     "parse_facts",
     "parse_instance",

@@ -17,6 +17,8 @@ from ..errors import EnvError
 _FACT_RE = re.compile(r"^(on|ontable|clear|holding)\(([a-z0-9_]+)(?:,([a-z0-9_]+))?\)$|^handempty$")
 _ACTION_RE = re.compile(r"^(pickup|putdown|stack|unstack)\(([a-z0-9_]+)(?:,([a-z0-9_]+))?\)$")
 _UNARY = {"ontable", "clear", "holding"}
+# generated instances name their blocks a, b, c, ... with single letters
+MAX_BLOCKS = 26
 
 
 def parse_facts(text: str) -> frozenset[str]:
@@ -205,6 +207,10 @@ def generate_instance(
     """
     if n_steps < 2 or n_steps % 2:
         raise ValueError("n_steps must be an even integer >= 2")
+    if n_blocks > MAX_BLOCKS:
+        raise ValueError(
+            f"n_blocks must be at most {MAX_BLOCKS} (blocks are named a-z), got {n_blocks}"
+        )
     rng = np.random.default_rng(seed)
     blocks = tuple(chr(ord("a") + i) for i in range(n_blocks))
     for _ in range(200):

@@ -9,8 +9,6 @@ keeping only the most frequent next state.
 
 from __future__ import annotations
 
-from collections import Counter
-
 
 class DeterministicizedEnv:
     """Mode-outcome wrapper around any text-state environment."""
@@ -21,33 +19,21 @@ class DeterministicizedEnv:
         self.inner = inner
         self.samples_k = samples_k
         self.max_steps = inner.max_steps
-        self._tally: dict[tuple[str, str], Counter] = {}
-        self._outcomes: dict[tuple[str, str], dict[str, tuple[str, float, bool]]] = {}
-        self._order: dict[tuple[str, str], list[str]] = {}
+        # (state, action) -> next state -> [count, first (next, reward, done) seen],
+        # in order of first sight
+        self._tally: dict[tuple[str, str], dict[str, list]] = {}
 
     def reset(self, seed: int) -> str:
         self._tally.clear()
-        self._outcomes.clear()
-        self._order.clear()
         return self.inner.reset(seed)
 
     def legal_actions(self, state: str) -> list[str]:
         return self.inner.legal_actions(state)
 
     def step(self, state: str, action_text: str) -> tuple[str, float, bool]:
-        key = (state, action_text)
-        tally = self._tally.setdefault(key, Counter())
-        outcomes = self._outcomes.setdefault(key, {})
-        order = self._order.setdefault(key, [])
+        tally = self._tally.setdefault((state, action_text), {})
         for _ in range(self.samples_k):
             out = self.inner.step(state, action_text)
-            if out[0] not in outcomes:
-                outcomes[out[0]] = out
-                order.append(out[0])
-            tally[out[0]] += 1
-        best = max(order, key=lambda o: (tally[o], -order.index(o)))
-        return outcomes[best]
-
-
-def deterministicize(env, samples_k: int = 5) -> DeterministicizedEnv:
-    return DeterministicizedEnv(env, samples_k)
+            tally.setdefault(out[0], [0, out])[0] += 1
+        # max keeps the first of equal counts: the earliest-seen mode
+        return max(tally.values(), key=lambda slot: slot[0])[1]

@@ -13,18 +13,6 @@ class EnvError(PlanuError):
     """Illegal or malformed action submitted to an environment."""
 
 
-class TransportError(PlanuError):
-    """HTTP transport failure after retries were exhausted."""
-
-
-class MalformedResponseError(PlanuError):
-    """Endpoint response could not be parsed into the expected shape."""
-
-
-class OfflineCacheMissError(PlanuError):
-    """Offline mode was requested but the response is not in the cache."""
-
-
 class ConfigError(PlanuError):
     """Invalid experiment configuration; carries a list of diagnostics."""
 

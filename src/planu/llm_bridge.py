@@ -1,54 +1,20 @@
-"""Optional HTTP clients for a language-model prior policy / world model
-and an embedding endpoint, with on-disk response caching.
+"""Offline pieces of a language-model prior: the action-proposal record,
+the request digest and an on-disk response cache.
 
-Responses are cached as one JSON file per request digest, so recorded
-sessions replay offline with zero network calls. The transport is
-injectable for testing.
+Responses are cached as one JSON file per request digest, so a prior
+policy can replay recorded responses with zero network calls. Nothing on
+the `run_search` or `plan` path imports this module yet; the HTTP clients
+that filled the cache were removed because no endpoint or recorded
+responses ship with the repository.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import logging
-import math
 import os
 import tempfile
-import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
-
-import numpy as np
-
-from .errors import MalformedResponseError, OfflineCacheMissError, TransportError
-
-log = logging.getLogger(__name__)
-
-CACHE_DIR_ENV = "PLANU_CACHE_DIR"
-MAX_TRIES = 3
-BACKOFF_BASE = 0.5
-
-
-@dataclass(frozen=True)
-class LlmEndpointConfig:
-    base_url: str
-    model: str
-    api_key_env: str = "LLM_API_KEY"
-    temperature: float = 0.7
-    max_tokens: int = 256
-    logprobs: bool = True
-    timeout: float = 30.0
-    cache_dir: str | None = None
-    renormalize_priors: bool = False
-
-    def resolved_cache_dir(self) -> str:
-        override = os.environ.get(CACHE_DIR_ENV)
-        if override:
-            return override
-        if self.cache_dir:
-            return self.cache_dir
-        return os.path.join(os.path.expanduser("~"), ".cache", "planu")
 
 
 @dataclass(frozen=True)
@@ -60,20 +26,6 @@ class ActionProposal:
     def __post_init__(self):
         if not (0.0 <= self.prior <= 1.0):
             raise ValueError(f"prior must be in [0, 1], got {self.prior}")
-
-
-def _default_transport(url: str, payload: dict, headers: dict, timeout: float) -> dict:
-    req = urllib.request.Request(
-        url,
-        data=json.dumps(payload).encode("utf-8"),
-        headers={"Content-Type": "application/json", **headers},
-        method="POST",
-    )
-    try:
-        with urllib.request.urlopen(req, timeout=timeout) as resp:
-            return json.loads(resp.read().decode("utf-8"))
-    except (urllib.error.URLError, TimeoutError, json.JSONDecodeError) as exc:
-        raise TransportError(f"request to {url} failed: {exc}") from exc
 
 
 class ResponseCache:
@@ -106,222 +58,3 @@ def request_digest(model: str, prompt: str, temperature: float, max_tokens: int)
         sort_keys=True,
     )
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-class LlmClient:
-    """Chat-completions-style client used as prior policy and world model."""
-
-    def __init__(self, config: LlmEndpointConfig, transport=None, offline: bool = False):
-        self.config = config
-        self.transport = transport or _default_transport
-        self.offline = offline
-        self.cache = ResponseCache(config.resolved_cache_dir())
-        self.last_warning: str | None = None
-
-    def _headers(self) -> dict:
-        key = os.environ.get(self.config.api_key_env, "")
-        return {"Authorization": f"Bearer {key}"} if key else {}
-
-    def _complete(self, prompt: str) -> dict:
-        digest = request_digest(
-            self.config.model, prompt, self.config.temperature, self.config.max_tokens
-        )
-        cached = self.cache.get(digest)
-        if cached is not None:
-            return cached
-        if self.offline:
-            raise OfflineCacheMissError(f"offline mode and no cached response for {digest}")
-        payload = {
-            "model": self.config.model,
-            "messages": [{"role": "user", "content": prompt}],
-            "temperature": self.config.temperature,
-            "max_tokens": self.config.max_tokens,
-            "logprobs": self.config.logprobs,
-        }
-        url = self.config.base_url.rstrip("/") + "/chat/completions"
-        last_exc: Exception | None = None
-        for attempt in range(MAX_TRIES):
-            try:
-                response = self.transport(url, payload, self._headers(), self.config.timeout)
-                break
-            except TransportError as exc:
-                last_exc = exc
-                if attempt < MAX_TRIES - 1:
-                    time.sleep(BACKOFF_BASE * 2**attempt)
-        else:
-            raise TransportError(f"exhausted {MAX_TRIES} tries: {last_exc}") from last_exc
-        self.cache.put(digest, response)
-        return response
-
-    @staticmethod
-    def _extract(response: dict) -> tuple[str, list[tuple[str, float]]]:
-        """Pull (content text, [(token, prob), ...]) out of a response."""
-        try:
-            choice = response["choices"][0]
-            content = choice["message"]["content"]
-        except (KeyError, IndexError, TypeError) as exc:
-            raise MalformedResponseError(f"unexpected response shape: {response!r}") from exc
-        tokens: list[tuple[str, float]] = []
-        logprobs = (choice.get("logprobs") or {}).get("content") or []
-        for entry in logprobs:
-            try:
-                tokens.append((entry["token"], math.exp(entry["logprob"])))
-            except (KeyError, TypeError) as exc:
-                raise MalformedResponseError(f"bad logprob entry: {entry!r}") from exc
-        return content, tokens
-
-    def propose_actions(self, state_text: str, task_prompt: str, k: int) -> list[ActionProposal]:
-        """Ask for k candidate actions, one per line, with token-product priors.
-
-        Duplicate action lines are merged: their priors are summed and
-        capped at 1. Without token log-probabilities every returned action
-        gets a uniform 1/n prior.
-        """
-        prompt = (
-            f"{task_prompt}\n\nCurrent state:\n{state_text}\n\n"
-            f"Propose up to {k} candidate next actions. Output one action per line."
-        )
-        content, tokens = self._extract(self._complete(prompt))
-        lines = [ln.strip() for ln in content.splitlines() if ln.strip()]
-        if not lines:
-            raise MalformedResponseError(f"no action lines in response: {content!r}")
-        lines = lines[:k]
-        line_probs = self._per_line_probs(lines, tokens)
-        merged: dict[str, list] = {}
-        for text, probs in zip(lines, line_probs):
-            prior = float(np.prod(probs)) if probs else 1.0 / len(lines)
-            if text in merged:
-                merged[text][1] = min(1.0, merged[text][1] + prior)
-            else:
-                merged[text] = [tuple(probs), prior]
-        if self.config.renormalize_priors:
-            total = sum(p for _, p in merged.values())
-            if total > 0:
-                for entry in merged.values():
-                    entry[1] /= total
-        return [
-            ActionProposal(action_text=t, token_probs=probs, prior=min(1.0, p))
-            for t, (probs, p) in merged.items()
-        ]
-
-    @staticmethod
-    def _per_line_probs(lines: list[str], tokens: list[tuple[str, float]]) -> list[list[float]]:
-        """Assign generated tokens to output lines by walking the text."""
-        if not tokens:
-            return [[] for _ in lines]
-        probs: list[list[float]] = [[] for _ in lines]
-        idx = 0
-        for tok, p in tokens:
-            if idx >= len(lines):
-                break
-            if "\n" in tok:
-                if tok.strip():
-                    probs[idx].append(p)
-                idx += tok.count("\n")
-                continue
-            if tok.strip():
-                probs[idx].append(p)
-        return probs
-
-    def llm_world_step(self, state_text: str, action_text: str, world_prompt: str):
-        """One sampled (next state, reward) prediction from the endpoint.
-
-        Expects a response with a `state:` line and a `reward:` line; a
-        missing reward defaults to 0 with a warning flag. A parse failure
-        is retried once with a repair prompt before raising.
-        """
-        prompt = (
-            f"{world_prompt}\n\nCurrent state:\n{state_text}\nAction: {action_text}\n\n"
-            "Reply with exactly two lines:\nstate: <next state>\nreward: <number>"
-        )
-        self.last_warning = None
-        content, _ = self._extract(self._complete(prompt))
-        parsed = self._parse_world(content)
-        if parsed is None:
-            repair = (
-                f"{prompt}\n\nYour previous reply could not be parsed:\n{content}\n"
-                "Reply again using exactly the two-line format."
-            )
-            content2, _ = self._extract(self._complete(repair))
-            parsed = self._parse_world(content2)
-            if parsed is None:
-                raise MalformedResponseError(
-                    f"world-model response unparseable; raw text: {content2!r}"
-                )
-        next_state, reward = parsed
-        if reward is None:
-            self.last_warning = "reward field absent; defaulted to 0"
-            log.warning("world-model response had no reward line; using 0")
-            reward = 0.0
-        return next_state, reward
-
-    @staticmethod
-    def _parse_world(content: str):
-        state = reward = None
-        for line in content.splitlines():
-            head, _, rest = line.partition(":")
-            head = head.strip().lower()
-            if head == "state" and state is None:
-                state = rest.strip()
-            elif head == "reward" and reward is None:
-                try:
-                    reward = float(rest.strip())
-                except ValueError:
-                    return None
-        if state is None or not state:
-            return None
-        return state, reward
-
-
-class HttpEmbeddingProvider:
-    """EmbeddingProvider backed by an embeddings endpoint, cached by text."""
-
-    def __init__(
-        self,
-        base_url: str,
-        model: str,
-        dimension: int,
-        api_key_env: str = "LLM_API_KEY",
-        timeout: float = 30.0,
-        cache_dir: str | None = None,
-        transport=None,
-        offline: bool = False,
-    ):
-        self.base_url = base_url
-        self.model = model
-        self.dimension = dimension
-        self.api_key_env = api_key_env
-        self.timeout = timeout
-        self.transport = transport or _default_transport
-        self.offline = offline
-        directory = os.environ.get(CACHE_DIR_ENV) or cache_dir
-        if directory is None:
-            directory = os.path.join(os.path.expanduser("~"), ".cache", "planu")
-        self.cache = ResponseCache(directory)
-
-    def embed(self, text: str) -> np.ndarray:
-        key = "emb-" + hashlib.sha256(f"{self.model}\x00{text}".encode()).hexdigest()
-        cached = self.cache.get(key)
-        if cached is None:
-            if self.offline:
-                raise OfflineCacheMissError(f"offline mode and no cached embedding for {key}")
-            headers = {}
-            api_key = os.environ.get(self.api_key_env, "")
-            if api_key:
-                headers["Authorization"] = f"Bearer {api_key}"
-            cached = self.transport(
-                self.base_url.rstrip("/") + "/embeddings",
-                {"model": self.model, "input": text},
-                headers,
-                self.timeout,
-            )
-            self.cache.put(key, cached)
-        try:
-            vec = np.asarray(cached["data"][0]["embedding"], dtype=np.float64)
-        except (KeyError, IndexError, TypeError) as exc:
-            raise MalformedResponseError(f"unexpected embedding response: {cached!r}") from exc
-        if vec.shape != (self.dimension,):
-            raise MalformedResponseError(
-                f"embedding dimension {vec.shape} != declared {self.dimension}"
-            )
-        return vec

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import zlib
 from collections import deque
-from typing import Protocol
 
 import numpy as np
 
@@ -20,14 +19,6 @@ DEFAULT_LEARNING_RATE = 1e-5
 DEFAULT_INTRINSIC_WEIGHT = 0.01
 DEFAULT_EMBED_DIM = 384
 OBS_CLAMP = 1.0
-
-
-class EmbeddingProvider(Protocol):
-    """Maps state text to a fixed-dimension vector, deterministically."""
-
-    dimension: int
-
-    def embed(self, text: str) -> np.ndarray: ...
 
 
 def hash_embed(text: str, d_e: int = DEFAULT_EMBED_DIM) -> np.ndarray:
@@ -52,7 +43,7 @@ def hash_embed(text: str, d_e: int = DEFAULT_EMBED_DIM) -> np.ndarray:
 
 
 class HashEmbedding:
-    """Default EmbeddingProvider backed by hash_embed, with memoization."""
+    """hash_embed at a fixed dimension, memoized by text."""
 
     def __init__(self, dimension: int = DEFAULT_EMBED_DIM):
         self.dimension = dimension
@@ -82,12 +73,7 @@ class Mlp:
             self.biases.append(b)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        h = np.atleast_2d(x)
-        for k, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w + b
-            if k < len(self.weights) - 1:
-                h = np.maximum(h, 0.0)
-        return h
+        return self.forward_cached(x)[0]
 
     def forward_cached(self, x: np.ndarray):
         """Forward pass keeping pre-activation inputs for backward()."""
@@ -209,9 +195,6 @@ class RndModel:
     def observe(self, x: np.ndarray):
         """Fold an embedding into the running normalization statistics."""
         self.normalizer.update(np.asarray(x, dtype=np.float64))
-
-    def normalize_observation(self, x: np.ndarray) -> np.ndarray:
-        return self.normalizer.normalize(np.asarray(x, dtype=np.float64))
 
     def novelty_reward(self, x: np.ndarray) -> float:
         x = np.asarray(x, dtype=np.float64)

@@ -15,11 +15,11 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import SearchError
-from .novelty import HashEmbedding, RndModel, StateBuffer
+from .novelty import DEFAULT_INTRINSIC_WEIGHT, HashEmbedding, RndModel, StateBuffer
 from .quantile import PsiOperator
 from .rules import ODD, Rule, at_least, one_of, real
 from .tree import PathStep, StateKey, Tree, backpropagate, recommend, select_action
-from .envs.wrappers import deterministicize
+from .envs.wrappers import DeterministicizedEnv
 
 
 @dataclass(frozen=True)
@@ -28,15 +28,18 @@ class VariantBehavior:
 
     distributional: bool
     exploration: str  # "curiosity" or "uct"
-    use_novelty: bool
     wrap_env: bool
+
+    @property
+    def use_novelty(self) -> bool:
+        return self.exploration == "curiosity"
 
 
 VARIANTS = {
-    "full": VariantBehavior(True, "curiosity", True, False),
-    "no_dist": VariantBehavior(False, "curiosity", True, False),
-    "no_ucc": VariantBehavior(True, "uct", False, False),
-    "deterministic_baseline": VariantBehavior(False, "curiosity", True, True),
+    "full": VariantBehavior(True, "curiosity", False),
+    "no_dist": VariantBehavior(False, "curiosity", False),
+    "no_ucc": VariantBehavior(True, "uct", False),
+    "deterministic_baseline": VariantBehavior(False, "curiosity", True),
 }
 
 
@@ -63,13 +66,8 @@ class PlannerConfig:
     variant: str = _param("full", one_of(VARIANTS), key=False)
     seed: int = 0
     # curiosity model
-    embed_dim: int = 384
-    rnd_learning_rate: float = 1e-5
-    intrinsic_reward_weight: float = _param(0.01, real(0.0))
+    intrinsic_reward_weight: float = _param(DEFAULT_INTRINSIC_WEIGHT, real(0.0))
     rnd_output_gain: float = _param(10.0, real(0.0, lo_open=True), env_default=True)
-    buffer_capacity: int = 10_000
-    rnd_batch_size: int = 64
-    update_per_collect: int = 5
     # baseline wrapper
     deterministicize_k: int = _param(5, ODD)
 
@@ -86,10 +84,6 @@ class PlannerConfig:
 
 # the parameters a config file sets, under the same names
 CONFIG_FIELDS = tuple(f for f in fields(PlannerConfig) if f.metadata.get("key"))
-
-
-def apply_variant(cfg: PlannerConfig) -> VariantBehavior:
-    return VARIANTS[cfg.variant]
 
 
 class UniformPolicy:
@@ -125,7 +119,7 @@ class SearchResult:
     wall_time: float
 
 
-def run_search(env, policy, cfg: PlannerConfig, embedding_provider=None) -> SearchResult:
+def run_search(env, policy, cfg: PlannerConfig) -> SearchResult:
     """Run cfg.iterations search iterations and extract the best root action.
 
     Each iteration descends from the root — selecting among expanded
@@ -135,26 +129,22 @@ def run_search(env, policy, cfg: PlannerConfig, embedding_provider=None) -> Sear
     The recommendation is the root action with the highest mean return; no
     exploration bonus enters the extraction.
     """
-    behavior = apply_variant(cfg)
+    behavior = VARIANTS[cfg.variant]
     if behavior.wrap_env:
-        env = deterministicize(env, cfg.deterministicize_k)
+        env = DeterministicizedEnv(env, cfg.deterministicize_k)
     if policy is None:
         policy = UniformPolicy(env)
 
     root_text = env.reset(cfg.seed)
-    provider = embedding_provider
     rnd = buffer = None
     if behavior.use_novelty:
-        if provider is None:
-            provider = HashEmbedding(cfg.embed_dim)
+        provider = HashEmbedding()
         rnd = RndModel(
-            embed_dim=provider.dimension,
-            learning_rate=cfg.rnd_learning_rate,
             intrinsic_reward_weight=cfg.intrinsic_reward_weight,
             output_gain=cfg.rnd_output_gain,
             seed=cfg.seed,
         )
-        buffer = StateBuffer(cfg.buffer_capacity)
+        buffer = StateBuffer()
 
     tree = Tree(root_text, n_q=cfg.n_q, distributional=behavior.distributional)
 
@@ -191,7 +181,7 @@ def run_search(env, policy, cfg: PlannerConfig, embedding_provider=None) -> Sear
                 observe(child.key.canonical)
                 node = child
             if rnd is not None and len(buffer) > 0:
-                rnd.train_predictor(buffer, cfg.rnd_batch_size, cfg.update_per_collect)
+                rnd.train_predictor(buffer)
             if path:
                 backpropagate(path, cfg.gamma, cfg.qr_step, cfg.kappa, cfg.qr_step_decay)
         except SearchError:

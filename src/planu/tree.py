@@ -10,7 +10,6 @@ run quantile-regression updates along the traversed path.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -242,8 +241,3 @@ def snapshot(tree: Tree) -> dict:
             }
         )
     return {"root": state_id(tree.root), "nodes": nodes}
-
-
-def write_snapshot(tree: Tree, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(snapshot(tree), fh, indent=2, sort_keys=True)

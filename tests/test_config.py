@@ -94,6 +94,27 @@ class TestValidateConfig:
         with pytest.raises(ConfigError):
             validate_config(write(tmp_path, "env = blocksworld\nn_steps = 3\n"))
 
+    def test_n_blocks_bounded_by_block_names(self, tmp_path):
+        cfg = validate_config(write(tmp_path, "env = blocksworld\nn_blocks = 26\n"))
+        assert cfg["n_blocks"] == 26
+        with pytest.raises(ConfigError) as err:
+            validate_config(write(tmp_path, "env = blocksworld\nn_blocks = 27\n"))
+        assert "line 2" in err.value.diagnostics[0] and "[3, 26]" in err.value.diagnostics[0]
+
+    def test_instance_file_allows_one_instance(self, tmp_path):
+        cfg = validate_config(
+            write(tmp_path, "env = blocksworld\ninstance_file = inst.txt\ninstances = 1\n")
+        )
+        assert cfg["instances"] == 1
+        with pytest.raises(ConfigError) as err:
+            validate_config(
+                write(tmp_path, "env = blocksworld\ninstance_file = inst.txt\ninstances = 3\n")
+            )
+        assert err.value.diagnostics == [
+            "line 3: key 'instances': expected 1 with instance_file, which fixes the one "
+            "instance, got 3"
+        ]
+
     def test_deterministicize_k_must_be_odd(self, tmp_path):
         with pytest.raises(ConfigError):
             validate_config(write(tmp_path, "env = stock\ndeterministicize_k = 4\n"))

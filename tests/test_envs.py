@@ -9,7 +9,6 @@ from planu.envs import (
     DeterministicizedEnv,
     OvercookedLiteEnv,
     StockEnv,
-    deterministicize,
     generate_instance,
     parse_facts,
     parse_instance,
@@ -190,6 +189,11 @@ class TestGenerateInstance:
         with pytest.raises(ValueError):
             generate_instance(0)
 
+    def test_rejects_more_blocks_than_letters(self):
+        generate_instance(2, 26, seed=0)
+        with pytest.raises(ValueError, match="at most 26"):
+            generate_instance(2, 27, seed=0)
+
     def test_instance_text_roundtrip(self):
         env = generate_instance(4, 4, seed=1)
         clone = BlocksworldEnv.from_instance(env.instance_text())
@@ -315,7 +319,7 @@ def test_every_offered_action_steps(name, rate):
 
 class TestDeterministicized:
     def test_mode_outcome_for_risky_stock_action(self):
-        env = deterministicize(StockEnv(), samples_k=5)
+        env = DeterministicizedEnv(StockEnv(), samples_k=5)
         state = env.reset(0)
         # over many wrapped calls the cumulative mode must settle on the
         # 60% outcome: profit with reward 1
@@ -324,7 +328,7 @@ class TestDeterministicized:
         assert (nxt, r, done) == ("sold_b_profit", 1.0, True)
 
     def test_deterministic_env_unchanged(self):
-        env = deterministicize(StockEnv(), samples_k=3)
+        env = DeterministicizedEnv(StockEnv(), samples_k=3)
         state = env.reset(0)
         assert env.step(state, "buy_a") == ("sold_a", 0.9, True)
 
@@ -335,7 +339,7 @@ class TestDeterministicized:
             DeterministicizedEnv(StockEnv(), samples_k=0)
 
     def test_reset_clears_tallies(self):
-        env = deterministicize(StockEnv(), samples_k=5)
+        env = DeterministicizedEnv(StockEnv(), samples_k=5)
         state = env.reset(0)
         env.step(state, "buy_b")
         env.reset(1)
@@ -343,6 +347,6 @@ class TestDeterministicized:
 
     def test_passthrough_metadata(self):
         inner = StockEnv()
-        env = deterministicize(inner)
+        env = DeterministicizedEnv(inner)
         assert env.max_steps == inner.max_steps
         assert env.legal_actions(env.reset(0)) == inner.legal_actions("holding_cash")

@@ -1,52 +1,8 @@
 import json
-import math
-import os
 
-import numpy as np
 import pytest
 
-from planu.errors import (
-    MalformedResponseError,
-    OfflineCacheMissError,
-    TransportError,
-)
-from planu.llm_bridge import (
-    ActionProposal,
-    HttpEmbeddingProvider,
-    LlmClient,
-    LlmEndpointConfig,
-    ResponseCache,
-    request_digest,
-)
-
-
-def chat_response(content, token_logprobs=None):
-    choice = {"message": {"content": content}}
-    if token_logprobs is not None:
-        choice["logprobs"] = {
-            "content": [{"token": t, "logprob": lp} for t, lp in token_logprobs]
-        }
-    return {"choices": [choice]}
-
-
-class CountingTransport:
-    def __init__(self, responses):
-        self.responses = list(responses)
-        self.calls = []
-
-    def __call__(self, url, payload, headers, timeout):
-        self.calls.append((url, payload, headers))
-        out = self.responses.pop(0)
-        if isinstance(out, Exception):
-            raise out
-        return out
-
-
-@pytest.fixture
-def cfg(tmp_path):
-    return LlmEndpointConfig(
-        base_url="http://example.invalid/v1", model="test-model", cache_dir=str(tmp_path)
-    )
+from planu.llm_bridge import ActionProposal, ResponseCache, request_digest
 
 
 class TestResponseCache:
@@ -77,15 +33,6 @@ class TestRequestDigest:
         assert a != request_digest("m", "p", 0.0, 256)
 
 
-class TestEndpointConfig:
-    def test_env_var_overrides_cache_dir(self, tmp_path, monkeypatch):
-        cfg = LlmEndpointConfig(base_url="u", model="m", cache_dir=str(tmp_path))
-        monkeypatch.setenv("PLANU_CACHE_DIR", "/elsewhere")
-        assert cfg.resolved_cache_dir() == "/elsewhere"
-        monkeypatch.delenv("PLANU_CACHE_DIR")
-        assert cfg.resolved_cache_dir() == str(tmp_path)
-
-
 class TestActionProposal:
     def test_prior_bounds_enforced(self):
         ActionProposal("a", (), 0.5)
@@ -93,202 +40,3 @@ class TestActionProposal:
             ActionProposal("a", (), 1.5)
         with pytest.raises(ValueError):
             ActionProposal("a", (), -0.1)
-
-
-class TestProposeActions:
-    def test_parses_one_action_per_line_with_uniform_priors(self, cfg):
-        transport = CountingTransport([chat_response("pickup(a)\nstack(a,b)\n")])
-        client = LlmClient(cfg, transport=transport)
-        props = client.propose_actions("state", "task", k=5)
-        assert [p.action_text for p in props] == ["pickup(a)", "stack(a,b)"]
-        assert all(p.prior == 0.5 for p in props)
-
-    def test_token_product_priors(self, cfg):
-        lp = math.log(0.5)
-        transport = CountingTransport(
-            [
-                chat_response(
-                    "go\nstop",
-                    token_logprobs=[("go", lp), ("\n", 0.0), ("stop", lp)],
-                )
-            ]
-        )
-        client = LlmClient(cfg, transport=transport)
-        props = {p.action_text: p for p in client.propose_actions("s", "t", k=2)}
-        assert props["go"].prior == pytest.approx(0.5)
-        assert props["stop"].prior == pytest.approx(0.5)
-
-    def test_multi_token_line_multiplies_probs(self, cfg):
-        lp = math.log(0.5)
-        transport = CountingTransport(
-            [chat_response("go left", token_logprobs=[("go", lp), (" left", lp)])]
-        )
-        client = LlmClient(cfg, transport=transport)
-        (p,) = client.propose_actions("s", "t", k=1)
-        assert p.prior == pytest.approx(0.25)
-
-    def test_duplicate_lines_merge_and_cap(self, cfg):
-        lp = math.log(0.9)
-        transport = CountingTransport(
-            [
-                chat_response(
-                    "go\ngo",
-                    token_logprobs=[("go", lp), ("\n", 0.0), ("go", lp)],
-                )
-            ]
-        )
-        client = LlmClient(cfg, transport=transport)
-        props = client.propose_actions("s", "t", k=2)
-        assert len(props) == 1
-        assert props[0].prior == pytest.approx(1.0)
-
-    def test_truncates_to_k_lines(self, cfg):
-        transport = CountingTransport([chat_response("a\nb\nc\nd")])
-        client = LlmClient(cfg, transport=transport)
-        assert len(client.propose_actions("s", "t", k=2)) == 2
-
-    def test_renormalize_option(self, tmp_path):
-        cfg = LlmEndpointConfig(
-            base_url="u", model="m", cache_dir=str(tmp_path), renormalize_priors=True
-        )
-        lp = math.log(0.5)
-        transport = CountingTransport(
-            [
-                chat_response(
-                    "go\nstop",
-                    token_logprobs=[("go", lp), ("\n", 0.0), ("stop", math.log(0.25))],
-                )
-            ]
-        )
-        props = LlmClient(cfg, transport=transport).propose_actions("s", "t", k=2)
-        assert sum(p.prior for p in props) == pytest.approx(1.0)
-
-    def test_empty_content_raises(self, cfg):
-        client = LlmClient(cfg, transport=CountingTransport([chat_response("\n\n")]))
-        with pytest.raises(MalformedResponseError):
-            client.propose_actions("s", "t", k=2)
-
-    def test_malformed_response_shape_raises(self, cfg):
-        client = LlmClient(cfg, transport=CountingTransport([{"unexpected": True}]))
-        with pytest.raises(MalformedResponseError):
-            client.propose_actions("s", "t", k=2)
-
-
-class TestCachingAndOffline:
-    def test_second_identical_request_hits_cache(self, cfg):
-        transport = CountingTransport([chat_response("a\nb")])
-        client = LlmClient(cfg, transport=transport)
-        first = client.propose_actions("s", "t", k=2)
-        second = client.propose_actions("s", "t", k=2)
-        assert len(transport.calls) == 1
-        assert first == second
-
-    def test_offline_replays_cache_without_transport(self, cfg):
-        transport = CountingTransport([chat_response("a\nb")])
-        LlmClient(cfg, transport=transport).propose_actions("s", "t", k=2)
-
-        def explode(*args):
-            raise AssertionError("network touched in offline mode")
-
-        offline = LlmClient(cfg, transport=explode, offline=True)
-        assert len(offline.propose_actions("s", "t", k=2)) == 2
-
-    def test_offline_cache_miss_raises(self, cfg):
-        client = LlmClient(cfg, transport=CountingTransport([]), offline=True)
-        with pytest.raises(OfflineCacheMissError):
-            client.propose_actions("new state", "t", k=2)
-
-    def test_transport_errors_retried_then_succeed(self, cfg, monkeypatch):
-        monkeypatch.setattr("planu.llm_bridge.time.sleep", lambda s: None)
-        transport = CountingTransport(
-            [TransportError("boom"), TransportError("boom"), chat_response("a")]
-        )
-        client = LlmClient(cfg, transport=transport)
-        assert len(client.propose_actions("s", "t", k=1)) == 1
-        assert len(transport.calls) == 3
-
-    def test_transport_errors_exhaust_retries(self, cfg, monkeypatch):
-        monkeypatch.setattr("planu.llm_bridge.time.sleep", lambda s: None)
-        transport = CountingTransport([TransportError("boom")] * 3)
-        client = LlmClient(cfg, transport=transport)
-        with pytest.raises(TransportError):
-            client.propose_actions("s", "t", k=1)
-        assert len(transport.calls) == 3
-
-
-class TestWorldStep:
-    def test_parses_state_and_reward(self, cfg):
-        transport = CountingTransport([chat_response("state: next here\nreward: 0.25")])
-        client = LlmClient(cfg, transport=transport)
-        assert client.llm_world_step("s", "a", "w") == ("next here", 0.25)
-        assert client.last_warning is None
-
-    def test_missing_reward_defaults_to_zero_with_warning(self, cfg):
-        transport = CountingTransport([chat_response("state: somewhere")])
-        client = LlmClient(cfg, transport=transport)
-        assert client.llm_world_step("s", "a", "w") == ("somewhere", 0.0)
-        assert client.last_warning is not None
-
-    def test_repair_prompt_retry_once(self, cfg):
-        transport = CountingTransport(
-            [chat_response("gibberish"), chat_response("state: fixed\nreward: 1")]
-        )
-        client = LlmClient(cfg, transport=transport)
-        assert client.llm_world_step("s", "a", "w") == ("fixed", 1.0)
-        assert len(transport.calls) == 2
-        assert "could not be parsed" in transport.calls[1][1]["messages"][0]["content"]
-
-    def test_unparseable_after_repair_raises(self, cfg):
-        transport = CountingTransport([chat_response("??"), chat_response("still ??")])
-        client = LlmClient(cfg, transport=transport)
-        with pytest.raises(MalformedResponseError):
-            client.llm_world_step("s", "a", "w")
-
-    def test_non_numeric_reward_is_a_parse_failure(self, cfg):
-        transport = CountingTransport(
-            [chat_response("state: x\nreward: lots"), chat_response("state: x\nreward: 2")]
-        )
-        client = LlmClient(cfg, transport=transport)
-        assert client.llm_world_step("s", "a", "w") == ("x", 2.0)
-
-
-class TestHttpEmbeddingProvider:
-    def embedding_response(self, vec):
-        return {"data": [{"embedding": list(vec)}]}
-
-    def test_embed_and_cache(self, tmp_path):
-        transport = CountingTransport([self.embedding_response([1.0, 2.0, 3.0])])
-        provider = HttpEmbeddingProvider(
-            "http://example.invalid", "emb-model", 3,
-            cache_dir=str(tmp_path), transport=transport,
-        )
-        np.testing.assert_array_equal(provider.embed("text"), [1.0, 2.0, 3.0])
-        np.testing.assert_array_equal(provider.embed("text"), [1.0, 2.0, 3.0])
-        assert len(transport.calls) == 1
-
-    def test_dimension_mismatch_raises(self, tmp_path):
-        transport = CountingTransport([self.embedding_response([1.0, 2.0])])
-        provider = HttpEmbeddingProvider(
-            "http://example.invalid", "emb-model", 3,
-            cache_dir=str(tmp_path), transport=transport,
-        )
-        with pytest.raises(MalformedResponseError):
-            provider.embed("text")
-
-    def test_offline_miss_raises(self, tmp_path):
-        provider = HttpEmbeddingProvider(
-            "http://example.invalid", "emb-model", 3,
-            cache_dir=str(tmp_path), transport=CountingTransport([]), offline=True,
-        )
-        with pytest.raises(OfflineCacheMissError):
-            provider.embed("never seen")
-
-    def test_api_key_header_sent_when_set(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("LLM_API_KEY", "secret")
-        transport = CountingTransport([self.embedding_response([0.0, 0.0, 0.0])])
-        provider = HttpEmbeddingProvider(
-            "http://example.invalid", "emb-model", 3,
-            cache_dir=str(tmp_path), transport=transport,
-        )
-        provider.embed("text")
-        assert transport.calls[0][2] == {"Authorization": "Bearer secret"}

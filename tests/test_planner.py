@@ -1,12 +1,11 @@
-import numpy as np
 import pytest
 
 from planu.envs import StockEnv, generate_instance
 from planu.planner import (
+    VARIANTS,
     PlannerConfig,
     UniformPolicy,
     VariantBehavior,
-    apply_variant,
     rollout_recommended,
     run_search,
 )
@@ -52,14 +51,15 @@ class TestApplyVariant:
     @pytest.mark.parametrize(
         "variant,expected",
         [
-            ("full", VariantBehavior(True, "curiosity", True, False)),
-            ("no_dist", VariantBehavior(False, "curiosity", True, False)),
-            ("no_ucc", VariantBehavior(True, "uct", False, False)),
-            ("deterministic_baseline", VariantBehavior(False, "curiosity", True, True)),
+            ("full", VariantBehavior(True, "curiosity", False)),
+            ("no_dist", VariantBehavior(False, "curiosity", False)),
+            ("no_ucc", VariantBehavior(True, "uct", False)),
+            ("deterministic_baseline", VariantBehavior(False, "curiosity", True)),
         ],
     )
     def test_switch_table(self, variant, expected):
-        assert apply_variant(PlannerConfig(variant=variant)) == expected
+        assert VARIANTS[variant] == expected
+        assert VARIANTS[variant].use_novelty == (variant != "no_ucc")
 
 
 class TestUniformPolicy:
@@ -125,19 +125,6 @@ class TestRunSearch:
         )
         result = run_search(StockEnv(), None, cfg)
         assert result.recommended_action == "buy_b"
-
-    def test_custom_embedding_provider_is_used(self):
-        calls = []
-
-        class Probe:
-            dimension = 8
-
-            def embed(self, text):
-                calls.append(text)
-                return np.zeros(8)
-
-        run_search(StockEnv(), None, PlannerConfig(iterations=5), embedding_provider=Probe())
-        assert calls
 
 
 class TestRolloutRecommended:
