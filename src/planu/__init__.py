@@ -16,9 +16,7 @@ from .planner import (
     run_search,
 )
 from .quantile import (
-    PsiOperator,
     QuantileDistribution,
-    collapse,
     init_from_prior,
     midpoints,
     qr_loss,
@@ -35,9 +33,7 @@ __all__ = [
     "UniformPolicy",
     "rollout_recommended",
     "run_search",
-    "PsiOperator",
     "QuantileDistribution",
-    "collapse",
     "init_from_prior",
     "midpoints",
     "qr_loss",

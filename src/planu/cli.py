@@ -107,6 +107,19 @@ def _first_success_iteration(spec: RunSpec, result: SearchResult) -> int | None:
     return next((t.index + 1 for t in result.traces if solved(t)), None)
 
 
+def _record_head(spec: RunSpec) -> dict:
+    """The fields that open every run record, finished or failed."""
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "run_id": spec.run_id,
+        "env": spec.env,
+        "failure_rate": spec.failure_rate,
+        "variant": spec.variant,
+        "seed": spec.seed,
+        "instance": spec.instance_index,
+    }
+
+
 def execute_run(spec: RunSpec) -> dict:
     """Run one search plus evaluation episodes; returns the run record."""
     start = time.perf_counter()
@@ -128,13 +141,7 @@ def execute_run(spec: RunSpec) -> dict:
 
     first = _first_success_iteration(spec, result)
     return {
-        "schema_version": SCHEMA_VERSION,
-        "run_id": spec.run_id,
-        "env": spec.env,
-        "failure_rate": spec.failure_rate,
-        "variant": spec.variant,
-        "seed": spec.seed,
-        "instance": spec.instance_index,
+        **_record_head(spec),
         "success": bool(success),
         "return": realized,
         "iterations_to_first_success": first,
@@ -163,16 +170,7 @@ def _safe_execute(spec: RunSpec) -> dict:
     try:
         return execute_run(spec)
     except Exception as exc:  # noqa: BLE001 - per-run errors become exit-code 1
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "run_id": spec.run_id,
-            "env": spec.env,
-            "failure_rate": spec.failure_rate,
-            "variant": spec.variant,
-            "seed": spec.seed,
-            "instance": spec.instance_index,
-            "error": f"{type(exc).__name__}: {exc}",
-        }
+        return {**_record_head(spec), "error": f"{type(exc).__name__}: {exc}"}
 
 
 def _write_run_artifacts(record: dict, out_dir: str) -> None:

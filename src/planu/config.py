@@ -119,8 +119,13 @@ def _json_pairs_hook(pairs):
 
 
 def parse_config_file(path: str) -> tuple[dict, dict[str, int], list[str]]:
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        return {}, {}, [f"cannot read config file {path!r}: {exc.strerror or exc}"]
+    except UnicodeDecodeError as exc:
+        return {}, {}, [f"config file {path!r} is not UTF-8 text: byte {exc.start}: {exc.reason}"]
     stripped = text.lstrip()
     if path.endswith(".json") or stripped.startswith("{"):
         try:
@@ -131,6 +136,15 @@ def parse_config_file(path: str) -> tuple[dict, dict[str, int], list[str]]:
             return {}, {}, ["line 1: JSON config must be an object"]
         return values, {}, []
     return parse_text_config(text)
+
+
+def _key_problem(key: str, value, where: str) -> str | None:
+    """The diagnostic for one key's value, or None if the schema accepts it."""
+    if key not in SCHEMA:
+        return f"{where}unknown key {key!r}"
+    if not SCHEMA[key].check(value):
+        return f"{where}key {key!r}: expected {SCHEMA[key].describe}, got {value!r}"
+    return None
 
 
 def validate_config(path: str, overrides: dict | None = None) -> dict:
@@ -151,22 +165,16 @@ def validate_config(path: str, overrides: dict | None = None) -> dict:
         return f"line {lines_of[key]}: " if key in lines_of else ""
 
     for key, value in values.items():
-        if key not in SCHEMA:
-            diagnostics.append(f"{where(key)}unknown key {key!r}")
-        elif not SCHEMA[key].check(value):
-            diagnostics.append(
-                f"{where(key)}key {key!r}: expected {SCHEMA[key].describe}, got {value!r}"
-            )
+        problem = _key_problem(key, value, where(key))
+        if problem:
+            diagnostics.append(problem)
     merged = {**DEFAULTS, **{k: v for k, v in values.items() if k in SCHEMA}}
     for key, value in (overrides or {}).items():
         if value is None:
             continue
-        if key not in SCHEMA:
-            diagnostics.append(f"override: unknown key {key!r}")
-        elif not SCHEMA[key].check(value):
-            diagnostics.append(
-                f"override: key {key!r}: expected {SCHEMA[key].describe}, got {value!r}"
-            )
+        problem = _key_problem(key, value, "override: ")
+        if problem:
+            diagnostics.append(problem)
         else:
             merged[key] = value
     instances = merged["instances"]

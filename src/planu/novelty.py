@@ -43,16 +43,15 @@ def hash_embed(text: str, d_e: int = DEFAULT_EMBED_DIM) -> np.ndarray:
 
 
 class HashEmbedding:
-    """hash_embed at a fixed dimension, memoized by text."""
+    """hash_embed at DEFAULT_EMBED_DIM, memoized by text."""
 
-    def __init__(self, dimension: int = DEFAULT_EMBED_DIM):
-        self.dimension = dimension
+    def __init__(self):
         self._cache: dict[str, np.ndarray] = {}
 
     def embed(self, text: str) -> np.ndarray:
         vec = self._cache.get(text)
         if vec is None:
-            vec = hash_embed(text, self.dimension)
+            vec = hash_embed(text)
             self._cache[text] = vec
         return vec
 

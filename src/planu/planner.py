@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import SearchError
 from .novelty import DEFAULT_INTRINSIC_WEIGHT, HashEmbedding, RndModel, StateBuffer
-from .quantile import PsiOperator
 from .rules import ODD, Rule, at_least, one_of, real
 from .tree import PathStep, StateKey, Tree, backpropagate, recommend, select_action
 from .envs.wrappers import DeterministicizedEnv
@@ -62,7 +61,6 @@ class PlannerConfig:
     qr_step: float = _param(2.0, real(0.0, lo_open=True))
     qr_step_decay: float = _param(0.75, real(0.0, 1.0, lo_open=True))
     kappa: float = _param(0.05, real(0.0, lo_open=True))
-    psi_operator: PsiOperator = _param("mean", one_of(op.value for op in PsiOperator))
     variant: str = _param("full", one_of(VARIANTS), key=False)
     seed: int = 0
     # curiosity model
@@ -79,7 +77,6 @@ class PlannerConfig:
         ]
         if bad:
             raise ValueError("; ".join(bad))
-        object.__setattr__(self, "psi_operator", PsiOperator(self.psi_operator))
 
 
 # the parameters a config file sets, under the same names
@@ -174,7 +171,7 @@ def run_search(env, policy, cfg: PlannerConfig) -> SearchResult:
                     tree.expand(node, policy.propose(node.key.canonical))
                 r_i = novelty_of(node.key.canonical)
                 novelty_values.append(r_i)
-                a = select_action(node, r_i, cfg.c1, cfg.psi_operator, behavior.exploration)
+                a = select_action(node, r_i, cfg.c1, behavior.exploration)
                 next_text, reward, done = env.step(node.key.canonical, a.action_text)
                 child = tree.attach_outcome(a, next_text, node.depth + 1, done)
                 path.append(PathStep(node, a, reward, child))
@@ -208,21 +205,20 @@ def run_search(env, policy, cfg: PlannerConfig) -> SearchResult:
     )
 
 
-def rollout_recommended(env, tree: Tree, seed: int, max_steps: int | None = None):
+def rollout_recommended(env, tree: Tree, seed: int):
     """Replay the learned plan greedily with fresh environment randomness.
 
-    At each state the max-mean action of the matching tree node is taken;
-    off-tree states fall back to a seeded random legal action. Returns
-    (total_reward, reached_terminal, actions_taken).
+    For at most env.max_steps steps, the max-mean action of the matching
+    tree node is taken; off-tree states fall back to a seeded random legal
+    action. Returns (total_reward, reached_terminal, actions_taken).
     """
     rng = np.random.default_rng(seed)
     state = env.reset(seed)
-    limit = max_steps if max_steps is not None else env.max_steps
     node = tree.root
     total = 0.0
     actions: list[str] = []
     done = False
-    for _ in range(limit):
+    for _ in range(env.max_steps):
         if node is not None and node.is_expanded:
             a = recommend(node)
             action_text = a.action_text

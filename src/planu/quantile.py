@@ -8,20 +8,10 @@ not re-sorted after updates; quantile crossing is allowed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from . import kernels
-
-
-class PsiOperator(str, Enum):
-    """Rules for collapsing a quantile distribution to a scalar score."""
-
-    MEAN = "mean"
-    MEAN_PLUS_SPREAD = "mean_plus_spread"
-    MEAN_PLUS_VARIANCE = "mean_plus_variance"
-    MEDIAN = "median"
 
 
 def midpoints(n_q: int) -> np.ndarray:
@@ -63,26 +53,6 @@ def init_from_prior(prior: float, n_q: int) -> QuantileDistribution:
 
 def mean(d: QuantileDistribution) -> float:
     return float(d.values.mean())
-
-
-def _value_at(d: QuantileDistribution, tau: float) -> float:
-    """Quantile value whose midpoint is nearest to tau (ties -> lower index)."""
-    idx = int(np.argmin(np.abs(d.taus - tau)))
-    return float(d.values[idx])
-
-
-def collapse(d: QuantileDistribution, operator: PsiOperator = PsiOperator.MEAN) -> float:
-    """Map the distribution to a scalar selection score."""
-    op = PsiOperator(operator)
-    if op is PsiOperator.MEAN:
-        return mean(d)
-    if op is PsiOperator.MEAN_PLUS_SPREAD:
-        return mean(d) + _value_at(d, 0.9) - _value_at(d, 0.1)
-    if op is PsiOperator.MEAN_PLUS_VARIANCE:
-        return mean(d) + float(d.values.var())
-    if op is PsiOperator.MEDIAN:
-        return _value_at(d, 0.5)
-    raise ValueError(f"unknown operator {operator!r}")
 
 
 def _check_update_args(targets, step: float, kappa: float) -> np.ndarray:

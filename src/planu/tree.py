@@ -3,7 +3,7 @@
 State nodes hold visit counts; action nodes hold a quantile return
 distribution (or a scalar running mean in the ablated form), a prior, a
 visit count, and one child state node per observed stochastic outcome.
-Selection maximizes the collapsed return plus a curiosity bonus; backups
+Selection maximizes the mean return plus a curiosity bonus; backups
 run quantile-regression updates along the traversed path.
 """
 
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SearchError
-from .quantile import PsiOperator, QuantileDistribution, collapse, init_from_prior, qr_update
+from .quantile import QuantileDistribution, init_from_prior, mean, qr_update
 
 
 def _digest(text: str) -> str:
@@ -46,16 +46,11 @@ class ActionNode:
     visits: int = 0
     children: dict[str, "StateNode"] = field(default_factory=dict)
 
-    def estimate(self, operator: PsiOperator = PsiOperator.MEAN) -> float:
-        """Collapsed return estimate (scalar mean when no distribution)."""
-        if self.z is None:
-            return self.value
-        return collapse(self.z, operator)
-
     def mean_value(self) -> float:
+        """Mean return: of the distribution, or the scalar running mean."""
         if self.z is None:
             return self.value
-        return float(self.z.values.mean())
+        return mean(self.z)
 
 
 @dataclass
@@ -137,10 +132,9 @@ def select_action(
     s: StateNode,
     novelty: float,
     c1: float,
-    operator: PsiOperator = PsiOperator.MEAN,
     exploration: str = "curiosity",
 ) -> ActionNode:
-    """Pick the action child maximizing estimate + exploration bonus.
+    """Pick the action child maximizing mean return + exploration bonus.
 
     The curiosity bonus is c1 * novelty / max(N, 1); the "uct" mode swaps in
     the classic c1 * sqrt(ln N_parent / N) term instead. Ties go to the
@@ -158,7 +152,7 @@ def select_action(
         bonuses = [c1 * novelty / max(a.visits, 1) for a in s.actions]
     else:
         raise ValueError(f"unknown exploration mode {exploration!r}")
-    scores = [a.estimate(operator) + b for a, b in zip(s.actions, bonuses)]
+    scores = [a.mean_value() + b for a, b in zip(s.actions, bonuses)]
     return s.actions[int(np.argmax(scores))]
 
 

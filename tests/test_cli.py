@@ -132,9 +132,7 @@ def test_every_module_is_reached_from_the_cli():
         text=True,
         check=True,
     ).stdout.split()
-    # the offline remainder of the LLM bridge waits for a replaying prior policy
-    # or for its deletion (ROADMAP); any other unreached module fails here
-    assert sorted(modules - set(loaded)) == ["planu.llm_bridge"]
+    assert sorted(modules - set(loaded)) == []
 
 
 class TestRunSweep:
@@ -214,9 +212,19 @@ class TestMain:
         assert cfg["variants"] == ["full", "deterministic_baseline"]
 
     def test_validate_bad_config_exit_2(self, tmp_path, capsys):
-        path = write(tmp_path, "env = mars\n")
-        assert main(["validate", "--config", path]) == 2
-        assert "config error" in capsys.readouterr().err
+        not_utf8 = tmp_path / "latin1.cfg"
+        not_utf8.write_bytes(b"recipe = caf\xe9\n")
+        # each config -> what its diagnostic must name
+        cases = {
+            write(tmp_path, "env = mars\n"): "'mars'",
+            str(tmp_path / "missing.cfg"): "missing.cfg",
+            str(not_utf8): "latin1.cfg",
+        }
+        for path, named in cases.items():
+            for command in ("validate", "run", "sweep"):
+                assert main([command, "--config", path]) == 2
+                err = capsys.readouterr().err
+                assert err.startswith("config error") and named in err
 
     def test_run_writes_artifacts_and_prints_record(self, tmp_path, capsys):
         out = str(tmp_path / "runs")

@@ -48,9 +48,11 @@ class TestValidateConfig:
         assert cfg["env"] == "stock"
 
     def test_unknown_key_fails_closed(self, tmp_path):
-        with pytest.raises(ConfigError) as err:
-            validate_config(write(tmp_path, "env = stock\nturbo = true\n"))
-        assert any("turbo" in d for d in err.value.diagnostics)
+        # a config that still sets the deleted psi_operator key fails loudly too
+        for key, value in (("turbo", "true"), ("psi_operator", "median")):
+            with pytest.raises(ConfigError) as err:
+                validate_config(write(tmp_path, f"env = stock\n{key} = {value}\n"))
+            assert f"line 2: unknown key {key!r}" in err.value.diagnostics
 
     def test_bad_values_aggregated_with_line_numbers(self, tmp_path):
         path = write(tmp_path, "env = mars\ngamma = 2.0\nn_q = 0\n")

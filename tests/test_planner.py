@@ -42,10 +42,6 @@ class TestPlannerConfig:
             PlannerConfig(iterations=0, gamma=2.0)
         assert "iterations" in str(err.value) and "gamma" in str(err.value)
 
-    def test_psi_operator_coerced_from_string(self):
-        cfg = PlannerConfig(psi_operator="median")
-        assert cfg.psi_operator.value == "median"
-
 
 class TestApplyVariant:
     @pytest.mark.parametrize(

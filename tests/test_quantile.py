@@ -4,9 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planu.quantile import (
-    PsiOperator,
     QuantileDistribution,
-    collapse,
     init_from_prior,
     mean,
     midpoints,
@@ -52,35 +50,6 @@ def test_distribution_rejects_non_finite():
 def test_mean_simple():
     assert mean(QuantileDistribution(np.array([0.5, 0.5, 0.5]))) == 0.5
     assert mean(QuantileDistribution(np.array([0.0, 1.0]))) == 0.5
-
-
-def test_collapse_mean_matches_mean():
-    d = QuantileDistribution(np.linspace(-1, 3, 17))
-    assert collapse(d, PsiOperator.MEAN) == mean(d)
-
-
-def test_collapse_mean_plus_spread_nearest_midpoint():
-    # 10 quantiles at midpoints 0.05..0.95: tau=0.9 -> index 8, tau=0.1 -> index 1
-    values = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0])
-    d = QuantileDistribution(values)
-    assert collapse(d, PsiOperator.MEAN_PLUS_SPREAD) == pytest.approx(0.5 + 1.0 - 0.0)
-
-
-def test_collapse_constant_operators():
-    d = init_from_prior(0.7, 9)
-    assert collapse(d, PsiOperator.MEAN_PLUS_VARIANCE) == pytest.approx(0.7)
-    assert collapse(d, PsiOperator.MEDIAN) == pytest.approx(0.7)
-    assert collapse(d, PsiOperator.MEAN_PLUS_SPREAD) == pytest.approx(0.7)
-
-
-def test_collapse_median_nearest():
-    d = QuantileDistribution(np.array([1.0, 2.0, 3.0]))
-    assert collapse(d, PsiOperator.MEDIAN) == 2.0
-
-
-def test_collapse_rejects_unknown_operator():
-    with pytest.raises(ValueError):
-        collapse(init_from_prior(0.5, 3), "harmonic")
 
 
 def test_qr_update_single_quantile_hand_case():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from planu.errors import SearchError
-from planu.quantile import PsiOperator, QuantileDistribution
+from planu.quantile import QuantileDistribution
 from planu.tree import (
     PathStep,
     StateKey,
