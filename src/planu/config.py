@@ -147,6 +147,18 @@ def _key_problem(key: str, value, where: str) -> str | None:
     return None
 
 
+def _unreadable(path: str) -> str | None:
+    """Why the env builder could not read the file at path, or None."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            fh.read()
+    except OSError as exc:
+        return f"cannot read {path!r}: {exc.strerror or exc}"
+    except UnicodeDecodeError as exc:
+        return f"{path!r} is not UTF-8 text: byte {exc.start}: {exc.reason}"
+    return None
+
+
 def validate_config(path: str, overrides: dict | None = None) -> dict:
     """Load, validate, and normalize a config file.
 
@@ -177,8 +189,15 @@ def validate_config(path: str, overrides: dict | None = None) -> dict:
             diagnostics.append(problem)
         else:
             merged[key] = value
+    instance_file = merged.get("instance_file")
+    if _PATH.check(instance_file):
+        problem = _unreadable(instance_file)
+        if problem:
+            overridden = (overrides or {}).get("instance_file") == instance_file
+            src = "override: " if overridden else where("instance_file")
+            diagnostics.append(f"{src}key 'instance_file': {problem}")
     instances = merged["instances"]
-    if merged.get("instance_file") and is_int(instances) and instances > 1:
+    if instance_file and is_int(instances) and instances > 1:
         diagnostics.append(
             f"{where('instances')}key 'instances': expected 1 with instance_file, which "
             f"fixes the one instance, got {instances!r}"

@@ -10,7 +10,7 @@ lose novelty over time.
 from __future__ import annotations
 
 import zlib
-from collections import deque
+from collections import Counter
 
 import numpy as np
 
@@ -111,59 +111,118 @@ class RunningNormalizer:
         self.count = 0
         self._mean = np.zeros(dim)
         self._m2 = np.zeros(dim)
+        self._scale = None  # max(std, eps), cached until the next update
 
     def update(self, x: np.ndarray):
         self.count += 1
         delta = x - self._mean
         self._mean += delta / self.count
         self._m2 += delta * (x - self._mean)
+        self._scale = None
 
     def normalize(self, x: np.ndarray) -> np.ndarray:
-        if self.count < 2:
-            return np.clip(x - self._mean, -self.clamp, self.clamp)
-        std = np.sqrt(self._m2 / self.count)
-        return np.clip((x - self._mean) / np.maximum(std, self.eps), -self.clamp, self.clamp)
+        out = x - self._mean
+        if self.count >= 2:
+            if self._scale is None:
+                self._scale = np.maximum(np.sqrt(self._m2 / self.count), self.eps)
+            out /= self._scale
+        # np.clip(out, -clamp, clamp) in place, without np.clip's per-call overhead
+        np.maximum(out, -self.clamp, out=out)
+        return np.minimum(out, self.clamp, out=out)
 
 
 class StateBuffer:
-    """FIFO buffer of embedded states used to train the predictor."""
+    """FIFO buffer of embedded states used to train the predictor.
+
+    Each distinct embedding object is stored once, as a row of a table;
+    the FIFO is a ring of row ids. Rows are keyed by object identity (the
+    buffer keeps a reference to each keyed object, so an id is never
+    reused while its row is live), which is how the planner shares one
+    cached embedding between visits of a state.
+
+    sample_weighted returns its unique rows in the order of their first
+    occurrence in the draw. That order is part of the result: the
+    predictor's gradient sums over rows, and summing floats in another
+    order changes the trained weights, and with them every later search
+    decision.
+    """
 
     def __init__(self, capacity: int = 10_000):
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self._entries: deque[np.ndarray] = deque(maxlen=capacity)
+        self._ring = np.zeros(capacity, dtype=np.intp)  # row id per FIFO slot
+        self._start = 0  # slot of the oldest entry
+        self._len = 0
+        self._table: np.ndarray | None = None  # one row per live embedding object
+        self._row_of: dict[int, int] = {}  # id(object) -> row
+        self._keyed: list = []  # row -> the object keyed there, or None when free
+        self._refs: list[int] = []  # row -> number of ring slots holding it
+        self._free: list[int] = []
 
     def add(self, x: np.ndarray):
-        self._entries.append(np.asarray(x, dtype=np.float64))
+        x = np.asarray(x, dtype=np.float64)
+        row = self._row_of.get(id(x))
+        if row is None:
+            row = self._new_row(x)
+        self._refs[row] += 1  # before the eviction below, so that it cannot free this row
+        if self._len == self.capacity:
+            self._release(int(self._ring[self._start]))
+            self._ring[self._start] = row
+            self._start = (self._start + 1) % self.capacity
+        else:
+            self._ring[(self._start + self._len) % self.capacity] = row
+            self._len += 1
+
+    def _new_row(self, x: np.ndarray) -> int:
+        if self._table is None:
+            self._table = np.empty((min(64, self.capacity + 1), *x.shape))
+        elif x.shape != self._table.shape[1:]:
+            raise ValueError(f"expected state of shape {self._table.shape[1:]}, got {x.shape}")
+        if self._free:
+            row = self._free.pop()
+            self._keyed[row] = x
+        else:
+            row = len(self._keyed)
+            if row == len(self._table):
+                # double, up to capacity + 1 rows: a new state takes its row
+                # before the state it evicts frees one
+                grown = np.empty((min(2 * row, self.capacity + 1), *x.shape))
+                grown[:row] = self._table
+                self._table = grown
+            self._keyed.append(x)
+            self._refs.append(0)
+        self._table[row] = x
+        self._row_of[id(x)] = row
+        return row
+
+    def _release(self, row: int):
+        self._refs[row] -= 1
+        if self._refs[row] == 0:
+            del self._row_of[id(self._keyed[row])]
+            self._keyed[row] = None
+            self._free.append(row)
 
     def __len__(self) -> int:
-        return len(self._entries)
-
-    def sample(self, batch_size: int, rng: np.random.Generator) -> np.ndarray:
-        if not self._entries:
-            raise ValueError("buffer is empty")
-        idx = rng.integers(0, len(self._entries), size=batch_size)
-        return np.stack([self._entries[i] for i in idx])
+        return self._len
 
     def sample_weighted(self, batch_size: int, rng: np.random.Generator):
         """Uniform sample collapsed to unique rows with sampling weights.
 
-        Equivalent to sample() for any loss that is a weighted mean over
-        rows, but much cheaper when the buffer holds many repeats (states
-        revisited across iterations share one cached embedding object).
+        Equivalent to drawing batch_size entries for any loss that is a
+        weighted mean over rows, but much cheaper when the buffer holds
+        many repeats (states revisited across iterations share one cached
+        embedding object).
         """
-        if not self._entries:
+        if not self._len:
             raise ValueError("buffer is empty")
-        idx = rng.integers(0, len(self._entries), size=batch_size)
-        counts: dict[int, list] = {}
-        for i in idx:
-            entry = self._entries[i]
-            slot = counts.setdefault(id(entry), [entry, 0])
-            slot[1] += 1
-        rows = np.stack([slot[0] for slot in counts.values()])
-        weights = np.array([slot[1] for slot in counts.values()], dtype=np.float64)
-        return rows, weights / batch_size
+        # the same draws as rng.integers(0, len), offset to ring slots: a
+        # bounded draw depends only on the width of its range
+        slots = rng.integers(self._start, self._start + self._len, size=batch_size)
+        # Counter keys keep first-occurrence order
+        counts = Counter(self._ring.take(slots, mode="wrap").tolist())
+        weights = np.array([n / batch_size for n in counts.values()])
+        return self._table.take(list(counts), axis=0), weights
 
 
 class RndModel:
@@ -206,18 +265,14 @@ class RndModel:
     def train_predictor(self, buffer: StateBuffer, batch_size: int = 64, steps: int = 5):
         """SGD steps moving the predictor toward the frozen target.
 
-        Returns the per-step mean losses (squared error summed over output
-        dims, averaged over the batch).
+        Each step trains on a weighted batch from the buffer; the loss is
+        the squared error summed over output dims, averaged over the batch.
         """
         if len(buffer) == 0:
             raise ValueError("buffer is empty")
-        losses = []
         for _ in range(steps):
             rows, weights = buffer.sample_weighted(min(batch_size, len(buffer)), self._rng)
             z = self.normalizer.normalize(rows)
             t = self.target.forward(z)
             p, cache = self.predictor.forward_cached(z)
-            diff = p - t
-            losses.append(float((diff * diff).sum(axis=1) @ weights))
-            self.predictor.sgd_step(cache, 2.0 * diff * weights[:, None], self.learning_rate)
-        return losses
+            self.predictor.sgd_step(cache, 2.0 * (p - t) * weights[:, None], self.learning_rate)

@@ -6,6 +6,9 @@ from planu.config import DEFAULTS, parse_text_config, validate_config
 from planu.errors import ConfigError
 
 
+INSTANCE = "blocks: a b\ninit: ontable(a) ontable(b) clear(a) clear(b) handempty\ngoal: on(a,b)\n"
+
+
 def write(tmp_path, text, name="exp.cfg"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -104,18 +107,38 @@ class TestValidateConfig:
         assert "line 2" in err.value.diagnostics[0] and "[3, 26]" in err.value.diagnostics[0]
 
     def test_instance_file_allows_one_instance(self, tmp_path):
+        inst = write(tmp_path, INSTANCE, "inst.txt")
         cfg = validate_config(
-            write(tmp_path, "env = blocksworld\ninstance_file = inst.txt\ninstances = 1\n")
+            write(tmp_path, f"env = blocksworld\ninstance_file = {inst}\ninstances = 1\n")
         )
         assert cfg["instances"] == 1
         with pytest.raises(ConfigError) as err:
             validate_config(
-                write(tmp_path, "env = blocksworld\ninstance_file = inst.txt\ninstances = 3\n")
+                write(tmp_path, f"env = blocksworld\ninstance_file = {inst}\ninstances = 3\n")
             )
         assert err.value.diagnostics == [
             "line 3: key 'instances': expected 1 with instance_file, which fixes the one "
             "instance, got 3"
         ]
+
+    def test_instance_file_must_be_readable(self, tmp_path):
+        missing = str(tmp_path / "nope.txt")
+        with pytest.raises(ConfigError) as err:
+            validate_config(write(tmp_path, f"env = blocksworld\ninstance_file = {missing}\n"))
+        [diag] = err.value.diagnostics
+        assert diag.startswith("line 2: key 'instance_file': cannot read") and missing in diag
+        with pytest.raises(ConfigError) as err:
+            validate_config(write(tmp_path, "env = blocksworld\n"), {"instance_file": missing})
+        [diag] = err.value.diagnostics
+        assert diag.startswith("override: key 'instance_file'") and missing in diag
+        latin1 = tmp_path / "latin1.txt"
+        latin1.write_bytes("blocks: \xe9\n".encode("latin-1"))
+        with pytest.raises(ConfigError) as err:
+            validate_config(write(tmp_path, f"env = blocksworld\ninstance_file = {latin1}\n"))
+        assert "not UTF-8 text" in err.value.diagnostics[0]
+        with pytest.raises(ConfigError) as err:
+            validate_config(write(tmp_path, f"env = blocksworld\ninstance_file = {tmp_path}\n"))
+        assert "cannot read" in err.value.diagnostics[0]
 
     def test_deterministicize_k_must_be_odd(self, tmp_path):
         with pytest.raises(ConfigError):

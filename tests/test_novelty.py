@@ -1,5 +1,9 @@
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planu.novelty import (
     HashEmbedding,
@@ -116,6 +120,74 @@ class TestRunningNormalizer:
         out = norm.normalize(np.zeros((4, 2)))
         assert out.shape == (4, 2)
 
+    @settings(max_examples=50, deadline=None)
+    @given(
+        updates=st.lists(
+            st.lists(st.floats(-5.0, 5.0), min_size=3, max_size=3), min_size=0, max_size=8
+        ),
+        batch=st.integers(1, 4),
+        seed=st.integers(0, 2**16),
+    )
+    def test_normalize_matches_from_scratch_formula(self, updates, batch, seed):
+        norm = RunningNormalizer(3, eps=1e-3)
+        rng = np.random.default_rng(seed)
+
+        def check():
+            # the cached scale must equal the formula on the current statistics
+            for x in (rng.normal(scale=3.0, size=3), rng.normal(scale=3.0, size=(batch, 3))):
+                before = x.copy()
+                if norm.count < 2:
+                    expect = np.clip(x - norm._mean, -norm.clamp, norm.clamp)
+                else:
+                    scale = np.maximum(np.sqrt(norm._m2 / norm.count), norm.eps)
+                    expect = np.clip((x - norm._mean) / scale, -norm.clamp, norm.clamp)
+                got = norm.normalize(x)
+                assert got.tobytes() == expect.tobytes()
+                assert x.tobytes() == before.tobytes()
+
+        check()
+        for u in updates:
+            norm.update(np.array(u))
+            check()
+            check()
+
+
+class DequeBuffer:
+    """The FIFO of entries deduplicated by id() while sampling: the reference
+    StateBuffer must reproduce bit for bit."""
+
+    def __init__(self, capacity):
+        self._entries = deque(maxlen=capacity)
+
+    def add(self, x):
+        self._entries.append(np.asarray(x, dtype=np.float64))
+
+    def __len__(self):
+        return len(self._entries)
+
+    def sample_weighted(self, batch_size, rng):
+        idx = rng.integers(0, len(self._entries), size=batch_size)
+        counts = {}
+        for i in idx:
+            entry = self._entries[i]
+            slot = counts.setdefault(id(entry), [entry, 0])
+            slot[1] += 1
+        rows = np.stack([slot[0] for slot in counts.values()])
+        weights = np.array([slot[1] for slot in counts.values()], dtype=np.float64)
+        return rows, weights / batch_size
+
+
+# a run of buffer operations: ("add", index into a pool of shared objects,
+# or -1 for a fresh object) or ("sample", batch size)
+BUFFER_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), st.integers(-1, 5)),
+        st.tuples(st.just("sample"), st.integers(1, 40)),
+    ),
+    min_size=1,
+    max_size=60,
+)
+
 
 class TestStateBuffer:
     def test_fifo_eviction(self):
@@ -123,14 +195,71 @@ class TestStateBuffer:
         for i in range(5):
             buf.add(np.array([float(i)]))
         assert len(buf) == 3
-        rows = buf.sample(100, np.random.default_rng(0))
+        rows, _ = buf.sample_weighted(100, np.random.default_rng(0))
         assert set(rows.ravel()) <= {2.0, 3.0, 4.0}
 
     def test_empty_sample_raises(self):
         with pytest.raises(ValueError):
-            StateBuffer().sample(1, np.random.default_rng(0))
-        with pytest.raises(ValueError):
             StateBuffer().sample_weighted(1, np.random.default_rng(0))
+
+    def test_shape_mismatch_raises(self):
+        buf = StateBuffer()
+        buf.add(np.zeros(3))
+        with pytest.raises(ValueError):
+            buf.add(np.zeros(4))
+        assert len(buf) == 1
+
+    @staticmethod
+    def assert_same_as_deque_buffer(ops, capacity, seed):
+        pool_rng = np.random.default_rng(seed)
+        pool = [pool_rng.normal(size=4) for _ in range(6)]
+        buf, ref = StateBuffer(capacity), DequeBuffer(capacity)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for op, arg in ops:
+            if op == "add":
+                x = pool_rng.normal(size=4) if arg < 0 else pool[arg]
+                buf.add(x)
+                ref.add(x)
+                assert len(buf) == len(ref)
+            elif len(ref):
+                rows, weights = buf.sample_weighted(arg, rng)
+                ref_rows, ref_weights = ref.sample_weighted(arg, ref_rng)
+                assert rows.tobytes() == ref_rows.tobytes()
+                assert weights.tobytes() == ref_weights.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(ops=BUFFER_OPS, capacity=st.integers(1, 12), seed=st.integers(0, 2**16))
+    def test_sample_weighted_bit_identical_to_deque_buffer(self, ops, capacity, seed):
+        self.assert_same_as_deque_buffer(ops, capacity, seed)
+
+    @pytest.mark.parametrize("capacity", [100, 1000])
+    def test_bit_identical_while_the_row_table_grows(self, capacity):
+        # hundreds of distinct states, with repeats, so the table outgrows its first rows
+        # and, at the smaller capacity, wraps and frees rows too
+        rng = np.random.default_rng(capacity)
+        ops = []
+        for _ in range(400):
+            ops.append(("add", -1 if rng.random() < 0.6 else int(rng.integers(0, 6))))
+            ops.append(("sample", 64))
+        self.assert_same_as_deque_buffer(ops, capacity, seed=capacity)
+
+    @settings(max_examples=20, deadline=None)
+    @given(adds=st.lists(st.integers(-1, 7), min_size=1, max_size=40),
+           capacity=st.integers(1, 16), seed=st.integers(0, 2**16))
+    def test_training_bit_identical_to_deque_buffer(self, adds, capacity, seed):
+        pool_rng = np.random.default_rng(seed)
+        pool = [pool_rng.normal(size=16) for _ in range(8)]
+        kwargs = dict(embed_dim=16, hidden_sizes=(8, 8), learning_rate=1e-2, seed=seed)
+        model, ref_model = RndModel(**kwargs), RndModel(**kwargs)
+        buf, ref = StateBuffer(capacity), DequeBuffer(capacity)
+        for i, k in enumerate(adds):
+            x = pool_rng.normal(size=16) if k < 0 else pool[k]
+            for m, b in ((model, buf), (ref_model, ref)):
+                m.observe(x)
+                b.add(x)
+                if i % 2:
+                    m.train_predictor(b, batch_size=8, steps=2)
+        assert model.predictor.parameter_bytes() == ref_model.predictor.parameter_bytes()
 
     def test_bad_capacity_raises(self):
         with pytest.raises(ValueError):
