@@ -19,8 +19,6 @@ from .quantile import (
     QuantileDistribution,
     init_from_prior,
     midpoints,
-    qr_loss,
-    qr_loss_gradient,
     qr_update,
 )
 from .tree import PathStep, StateKey, StateNode, Tree, backpropagate, recommend, select_action
@@ -36,8 +34,6 @@ __all__ = [
     "QuantileDistribution",
     "init_from_prior",
     "midpoints",
-    "qr_loss",
-    "qr_loss_gradient",
     "qr_update",
     "PathStep",
     "StateKey",

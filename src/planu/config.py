@@ -118,14 +118,22 @@ def _json_pairs_hook(pairs):
     return seen
 
 
-def parse_config_file(path: str) -> tuple[dict, dict[str, int], list[str]]:
+def _read_text(path: str, name: str) -> tuple[str | None, str | None]:
+    """(the file's text, None), or (None, why it cannot be read); the
+    diagnostic calls the file `name`."""
     try:
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read(), None
     except OSError as exc:
-        return {}, {}, [f"cannot read config file {path!r}: {exc.strerror or exc}"]
+        return None, f"cannot read {name}: {exc.strerror or exc}"
     except UnicodeDecodeError as exc:
-        return {}, {}, [f"config file {path!r} is not UTF-8 text: byte {exc.start}: {exc.reason}"]
+        return None, f"{name} is not UTF-8 text: byte {exc.start}: {exc.reason}"
+
+
+def parse_config_file(path: str) -> tuple[dict, dict[str, int], list[str]]:
+    text, problem = _read_text(path, f"config file {path!r}")
+    if problem:
+        return {}, {}, [problem]
     stripped = text.lstrip()
     if path.endswith(".json") or stripped.startswith("{"):
         try:
@@ -147,18 +155,6 @@ def _key_problem(key: str, value, where: str) -> str | None:
     return None
 
 
-def _unreadable(path: str) -> str | None:
-    """Why the env builder could not read the file at path, or None."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            fh.read()
-    except OSError as exc:
-        return f"cannot read {path!r}: {exc.strerror or exc}"
-    except UnicodeDecodeError as exc:
-        return f"{path!r} is not UTF-8 text: byte {exc.start}: {exc.reason}"
-    return None
-
-
 def validate_config(path: str, overrides: dict | None = None) -> dict:
     """Load, validate, and normalize a config file.
 
@@ -176,6 +172,9 @@ def validate_config(path: str, overrides: dict | None = None) -> dict:
     def where(key):
         return f"line {lines_of[key]}: " if key in lines_of else ""
 
+    def source(key):
+        return "override: " if (overrides or {}).get(key) == merged[key] else where(key)
+
     for key, value in values.items():
         problem = _key_problem(key, value, where(key))
         if problem:
@@ -191,11 +190,21 @@ def validate_config(path: str, overrides: dict | None = None) -> dict:
             merged[key] = value
     instance_file = merged.get("instance_file")
     if _PATH.check(instance_file):
-        problem = _unreadable(instance_file)
+        _, problem = _read_text(instance_file, repr(instance_file))
         if problem:
-            overridden = (overrides or {}).get("instance_file") == instance_file
-            src = "override: " if overridden else where("instance_file")
-            diagnostics.append(f"{src}key 'instance_file': {problem}")
+            diagnostics.append(f"{source('instance_file')}key 'instance_file': {problem}")
+    # a repeated value on a sweep axis would run one grid point twice under one
+    # run id; failure rates are compared as the run id prints them
+    for key, label in (("seeds", repr), ("variants", repr), ("failure_rate", "{:g}".format)):
+        value = merged[key]
+        if isinstance(value, list) and SCHEMA[key].check(value):
+            labels = [label(v) for v in value]
+            repeated = sorted({x for x in labels if labels.count(x) > 1})
+            if repeated:
+                diagnostics.append(
+                    f"{source(key)}key {key!r}: expected distinct values, got {value!r} "
+                    f"(repeated: {', '.join(repeated)})"
+                )
     instances = merged["instances"]
     if instance_file and is_int(instances) and instances > 1:
         diagnostics.append(

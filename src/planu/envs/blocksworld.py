@@ -9,6 +9,7 @@ yields reward +1 and terminates.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 
 import numpy as np
 
@@ -21,8 +22,12 @@ _UNARY = {"ontable", "clear", "holding"}
 MAX_BLOCKS = 26
 
 
+@lru_cache(maxsize=1 << 16)
 def parse_facts(text: str) -> frozenset[str]:
-    """Parse whitespace-separated facts, rejecting unknown predicates."""
+    """Parse whitespace-separated facts, rejecting unknown predicates.
+
+    Memoized: a search parses the same few state texts over and over.
+    """
     facts = set()
     for tok in text.split():
         m = _FACT_RE.match(tok)

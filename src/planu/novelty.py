@@ -43,17 +43,32 @@ def hash_embed(text: str, d_e: int = DEFAULT_EMBED_DIM) -> np.ndarray:
 
 
 class HashEmbedding:
-    """hash_embed at DEFAULT_EMBED_DIM, memoized by text."""
+    """hash_embed at DEFAULT_EMBED_DIM, memoized by text: the one store of
+    state embeddings.
+
+    Each distinct text is embedded once, into a row of `table`, which
+    starts at 64 rows and doubles as it fills. Call row() before reading
+    `table`: embedding a new text may replace the table with a larger one.
+    """
 
     def __init__(self):
-        self._cache: dict[str, np.ndarray] = {}
+        self.table = np.empty((64, DEFAULT_EMBED_DIM))
+        self._row_of: dict[str, int] = {}
+
+    def row(self, text: str) -> int:
+        """The row id of text's embedding, embedding it on first sight."""
+        row = self._row_of.get(text)
+        if row is None:
+            row = len(self._row_of)
+            if row == len(self.table):
+                self.table = np.concatenate([self.table, np.empty_like(self.table)])
+            self.table[row] = hash_embed(text)
+            self._row_of[text] = row
+        return row
 
     def embed(self, text: str) -> np.ndarray:
-        vec = self._cache.get(text)
-        if vec is None:
-            vec = hash_embed(text)
-            self._cache[text] = vec
-        return vec
+        row = self.row(text)  # before reading self.table, which row() may replace
+        return self.table[row]
 
 
 class Mlp:
@@ -76,12 +91,14 @@ class Mlp:
 
     def forward_cached(self, x: np.ndarray):
         """Forward pass keeping pre-activation inputs for backward()."""
-        h = np.atleast_2d(x)
+        h = x if x.ndim == 2 else x[None, :]
         cache = [h]
+        last = len(self.weights) - 1
         for k, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w + b
-            if k < len(self.weights) - 1:
-                h = np.maximum(h, 0.0)
+            h = h @ w
+            h += b
+            if k < last:
+                np.maximum(h, 0.0, out=h)
             cache.append(h)
         return h, cache
 
@@ -93,9 +110,12 @@ class Mlp:
             gw = inp.T @ grad
             gb = grad.sum(axis=0)
             if k > 0:
-                grad = (grad @ self.weights[k].T) * (cache[k] > 0.0)
-            self.weights[k] -= lr * gw
-            self.biases[k] -= lr * gb
+                grad = grad @ self.weights[k].T
+                grad *= inp > 0.0
+            gw *= lr
+            self.weights[k] -= gw
+            gb *= lr
+            self.biases[k] -= gb
 
     def parameter_bytes(self) -> bytes:
         return b"".join(a.tobytes() for a in self.weights + self.biases)
@@ -132,13 +152,10 @@ class RunningNormalizer:
 
 
 class StateBuffer:
-    """FIFO buffer of embedded states used to train the predictor.
+    """FIFO buffer of visited states used to train the predictor.
 
-    Each distinct embedding object is stored once, as a row of a table;
-    the FIFO is a ring of row ids. Rows are keyed by object identity (the
-    buffer keeps a reference to each keyed object, so an id is never
-    reused while its row is live), which is how the planner shares one
-    cached embedding between visits of a state.
+    The FIFO is a ring of row ids into the embedding's table, so a state
+    visited many times is stored once and sampled by its row.
 
     sample_weighted returns its unique rows in the order of their first
     occurrence in the draw. That order is part of the result: the
@@ -147,61 +164,23 @@ class StateBuffer:
     decision.
     """
 
-    def __init__(self, capacity: int = 10_000):
+    def __init__(self, embedding: HashEmbedding, capacity: int = 10_000):
         if capacity < 1:
             raise ValueError("capacity must be positive")
+        self.embedding = embedding
         self.capacity = capacity
         self._ring = np.zeros(capacity, dtype=np.intp)  # row id per FIFO slot
         self._start = 0  # slot of the oldest entry
         self._len = 0
-        self._table: np.ndarray | None = None  # one row per live embedding object
-        self._row_of: dict[int, int] = {}  # id(object) -> row
-        self._keyed: list = []  # row -> the object keyed there, or None when free
-        self._refs: list[int] = []  # row -> number of ring slots holding it
-        self._free: list[int] = []
 
-    def add(self, x: np.ndarray):
-        x = np.asarray(x, dtype=np.float64)
-        row = self._row_of.get(id(x))
-        if row is None:
-            row = self._new_row(x)
-        self._refs[row] += 1  # before the eviction below, so that it cannot free this row
+    def add(self, text: str):
+        row = self.embedding.row(text)
         if self._len == self.capacity:
-            self._release(int(self._ring[self._start]))
             self._ring[self._start] = row
             self._start = (self._start + 1) % self.capacity
         else:
             self._ring[(self._start + self._len) % self.capacity] = row
             self._len += 1
-
-    def _new_row(self, x: np.ndarray) -> int:
-        if self._table is None:
-            self._table = np.empty((min(64, self.capacity + 1), *x.shape))
-        elif x.shape != self._table.shape[1:]:
-            raise ValueError(f"expected state of shape {self._table.shape[1:]}, got {x.shape}")
-        if self._free:
-            row = self._free.pop()
-            self._keyed[row] = x
-        else:
-            row = len(self._keyed)
-            if row == len(self._table):
-                # double, up to capacity + 1 rows: a new state takes its row
-                # before the state it evicts frees one
-                grown = np.empty((min(2 * row, self.capacity + 1), *x.shape))
-                grown[:row] = self._table
-                self._table = grown
-            self._keyed.append(x)
-            self._refs.append(0)
-        self._table[row] = x
-        self._row_of[id(x)] = row
-        return row
-
-    def _release(self, row: int):
-        self._refs[row] -= 1
-        if self._refs[row] == 0:
-            del self._row_of[id(self._keyed[row])]
-            self._keyed[row] = None
-            self._free.append(row)
 
     def __len__(self) -> int:
         return self._len
@@ -211,8 +190,7 @@ class StateBuffer:
 
         Equivalent to drawing batch_size entries for any loss that is a
         weighted mean over rows, but much cheaper when the buffer holds
-        many repeats (states revisited across iterations share one cached
-        embedding object).
+        many repeats (states revisited across iterations share one row).
         """
         if not self._len:
             raise ValueError("buffer is empty")
@@ -222,7 +200,7 @@ class StateBuffer:
         # Counter keys keep first-occurrence order
         counts = Counter(self._ring.take(slots, mode="wrap").tolist())
         weights = np.array([n / batch_size for n in counts.values()])
-        return self._table.take(list(counts), axis=0), weights
+        return self.embedding.table.take(list(counts), axis=0), weights
 
 
 class RndModel:
@@ -275,4 +253,7 @@ class RndModel:
             z = self.normalizer.normalize(rows)
             t = self.target.forward(z)
             p, cache = self.predictor.forward_cached(z)
-            self.predictor.sgd_step(cache, 2.0 * (p - t) * weights[:, None], self.learning_rate)
+            grad = p - t  # 2 * (p - t) * weights, in place
+            grad *= 2.0
+            grad *= weights[:, None]
+            self.predictor.sgd_step(cache, grad, self.learning_rate)

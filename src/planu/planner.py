@@ -141,16 +141,15 @@ def run_search(env, policy, cfg: PlannerConfig) -> SearchResult:
             output_gain=cfg.rnd_output_gain,
             seed=cfg.seed,
         )
-        buffer = StateBuffer()
+        buffer = StateBuffer(provider)
 
     tree = Tree(root_text, n_q=cfg.n_q, distributional=behavior.distributional)
 
     def observe(text: str):
         if rnd is None:
             return
-        emb = provider.embed(text)
-        rnd.observe(emb)
-        buffer.add(emb)
+        rnd.observe(provider.embed(text))
+        buffer.add(text)
 
     def novelty_of(text: str) -> float:
         if rnd is None:

@@ -8,20 +8,31 @@ not re-sorted after updates; quantile crossing is allowed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, cached_property
 
 import numpy as np
 
 from . import kernels
 
 
+@cache
 def midpoints(n_q: int) -> np.ndarray:
-    """Quantile midpoint fractions tau_i = (2i-1)/(2*n_q), i = 1..n_q."""
-    return (2.0 * np.arange(1, n_q + 1) - 1.0) / (2.0 * n_q)
+    """Quantile midpoint fractions tau_i = (2i-1)/(2*n_q), i = 1..n_q.
+
+    One read-only array per n_q, shared by every caller.
+    """
+    taus = (2.0 * np.arange(1, n_q + 1) - 1.0) / (2.0 * n_q)
+    taus.flags.writeable = False
+    return taus
 
 
 @dataclass(frozen=True)
 class QuantileDistribution:
-    """An ordered set of n_q quantile values with uniform weights 1/n_q."""
+    """An ordered set of n_q quantile values with uniform weights 1/n_q.
+
+    The values are never changed in place: an update builds a new
+    distribution, so the mean is computed once, on first use.
+    """
 
     values: np.ndarray
 
@@ -29,7 +40,7 @@ class QuantileDistribution:
         arr = np.asarray(self.values, dtype=np.float64)
         if arr.ndim != 1 or arr.shape[0] < 1:
             raise ValueError("quantile values must be a nonempty 1-d array")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("quantile values must be finite")
         object.__setattr__(self, "values", arr)
 
@@ -40,6 +51,10 @@ class QuantileDistribution:
     @property
     def taus(self) -> np.ndarray:
         return midpoints(self.n_q)
+
+    @cached_property
+    def mean(self) -> float:
+        return float(self.values.mean())
 
 
 def init_from_prior(prior: float, n_q: int) -> QuantileDistribution:
@@ -52,34 +67,7 @@ def init_from_prior(prior: float, n_q: int) -> QuantileDistribution:
 
 
 def mean(d: QuantileDistribution) -> float:
-    return float(d.values.mean())
-
-
-def _check_update_args(targets, step: float, kappa: float) -> np.ndarray:
-    arr = np.asarray(targets, dtype=np.float64)
-    if arr.ndim != 1 or arr.shape[0] == 0:
-        raise ValueError("targets must be a nonempty 1-d sequence")
-    if step <= 0.0:
-        raise ValueError(f"step must be positive, got {step}")
-    if kappa <= 0.0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
-    return arr
-
-
-def qr_loss(d: QuantileDistribution, targets, kappa: float = 0.05) -> float:
-    """Quantile-Huber loss of the distribution against target samples.
-
-    L = (1/|targets|) * sum_i sum_j rho^kappa_{tau_i}(y_j - theta_i), with
-    rho^kappa_tau(u) = |tau - 1{u<0}| * L_kappa(u) / kappa.
-    """
-    arr = _check_update_args(targets, 1.0, kappa)
-    return kernels.qr_loss(d.values, d.taus, arr, kappa)
-
-
-def qr_loss_gradient(d: QuantileDistribution, targets, kappa: float = 0.05) -> np.ndarray:
-    """Analytic gradient dL/d(theta_i) of qr_loss."""
-    arr = _check_update_args(targets, 1.0, kappa)
-    return kernels.qr_gradient(d.values, d.taus, arr, kappa)
+    return d.mean
 
 
 def qr_update(
@@ -94,8 +82,17 @@ def qr_update(
     target range, so a large step never overshoots past every target (the
     clamp is inactive for small steps and preserves the loss minimizers).
     """
-    arr = _check_update_args(targets, step, kappa)
+    arr = np.asarray(targets, dtype=np.float64)
+    if arr.ndim != 1 or arr.shape[0] == 0:
+        raise ValueError("targets must be a nonempty 1-d sequence")
+    if step <= 0.0:
+        raise ValueError(f"step must be positive, got {step}")
+    if kappa <= 0.0:
+        raise ValueError(f"kappa must be positive, got {kappa}")
     grad = kernels.qr_gradient(d.values, d.taus, arr, kappa)
     lo = np.minimum(d.values, arr.min())
     hi = np.maximum(d.values, arr.max())
-    return QuantileDistribution(np.clip(d.values - step * grad, lo, hi))
+    # np.clip(values - step * grad, lo, hi), without np.clip's per-call overhead
+    out = d.values - step * grad
+    np.maximum(out, lo, out=out)
+    return QuantileDistribution(np.minimum(out, hi, out=out))

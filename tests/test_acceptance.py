@@ -16,7 +16,7 @@ from planu import kernels
 from planu.cli import run_sweep
 from planu.config import DEFAULTS
 from planu.envs import BlocksworldEnv, StockEnv, generate_instance
-from planu.novelty import RndModel, StateBuffer, hash_embed
+from planu.novelty import HashEmbedding, RndModel, StateBuffer
 from planu.planner import PlannerConfig, rollout_recommended, run_search
 from planu.quantile import init_from_prior, midpoints, qr_update
 
@@ -75,12 +75,14 @@ def _blocksworld_rates(jobs, pool_size=None):
 
 def _rnd_seed_trial(seed):
     model = RndModel(seed=seed)
-    buffer = StateBuffer()
-    train = [hash_embed(f"train-state-{seed}-{i}") for i in range(100)]
-    held = [hash_embed(f"held-out-state-{seed}-{i}") for i in range(100)]
-    for x in train:
-        model.observe(x)
-        buffer.add(x)
+    provider = HashEmbedding()
+    buffer = StateBuffer(provider)
+    train_texts = [f"train-state-{seed}-{i}" for i in range(100)]
+    for text in train_texts:
+        model.observe(provider.embed(text))
+        buffer.add(text)
+    train = [provider.embed(text) for text in train_texts]
+    held = [provider.embed(f"held-out-state-{seed}-{i}") for i in range(100)]
     pre = float(np.mean([model.novelty_reward(x) for x in train]))
     for _ in range(5_000):
         model.train_predictor(buffer, batch_size=64, steps=5)
@@ -232,42 +234,6 @@ def test_ablation_ordering_on_blocksworld(capsys):
     assert ok
 
 
-def test_success_degrades_gracefully_with_failure_rate(capsys):
-    """[6] success falls as actions fail more often; full beats scalar means."""
-    afrs = (0.0, 0.1, 0.2, 0.3, 0.4)
-    jobs = [
-        (afr, 4, 500, 12, inst, variant, seed, 5)
-        for afr in afrs
-        for inst in range(10)
-        for variant in ("full", "no_dist")
-        for seed in range(5)
-    ]
-    outcomes = _blocksworld_rates(jobs)
-    rates: dict[tuple, list] = {}
-    for job, success in zip(jobs, outcomes):
-        rates.setdefault((job[0], job[5]), []).append(success)
-    full = [float(np.mean(rates[(afr, "full")])) for afr in afrs]
-    no_dist = [float(np.mean(rates[(afr, "no_dist")])) for afr in afrs]
-    inversions = [max(0.0, full[i + 1] - full[i]) for i in range(len(afrs) - 1)]
-    big = [v for v in inversions if v > 1e-9]
-    monotone_ok = len(big) <= 1 and all(v <= 0.03 for v in big)
-    dominance_ok = all(f >= n for f, n in zip(full, no_dist))
-    ok = monotone_ok and dominance_ok
-    report(
-        capsys,
-        6,
-        "failure-rate trend",
-        ok,
-        f"full={['%.2f' % v for v in full]} no_dist={['%.2f' % v for v in no_dist]}; "
-        f"monotone={monotone_ok} dominance={dominance_ok}",
-    )
-    assert monotone_ok, f"success not non-increasing in failure rate: {full}"
-    assert dominance_ok, (
-        f"scalar-mean ablation beats the full variant at some point: "
-        f"full={full} no_dist={no_dist}"
-    )
-
-
 def test_novelty_drops_on_trained_states(capsys):
     """[7] predictor training halves novelty on seen states, not unseen ones."""
     with ProcessPoolExecutor(max_workers=min(5, os.cpu_count() or 1)) as pool:
@@ -359,3 +325,41 @@ def test_environment_branch_frequencies(capsys):
     )
     assert stock_ok
     assert bw_ok
+
+
+# [6] runs last: it is the longest test by far, over half of tier-1's time,
+# so a run cut short by a time limit still reports every other guarantee.
+def test_success_degrades_gracefully_with_failure_rate(capsys):
+    """[6] success falls as actions fail more often; full beats scalar means."""
+    afrs = (0.0, 0.1, 0.2, 0.3, 0.4)
+    jobs = [
+        (afr, 4, 500, 12, inst, variant, seed, 5)
+        for afr in afrs
+        for inst in range(10)
+        for variant in ("full", "no_dist")
+        for seed in range(5)
+    ]
+    outcomes = _blocksworld_rates(jobs)
+    rates: dict[tuple, list] = {}
+    for job, success in zip(jobs, outcomes):
+        rates.setdefault((job[0], job[5]), []).append(success)
+    full = [float(np.mean(rates[(afr, "full")])) for afr in afrs]
+    no_dist = [float(np.mean(rates[(afr, "no_dist")])) for afr in afrs]
+    inversions = [max(0.0, full[i + 1] - full[i]) for i in range(len(afrs) - 1)]
+    big = [v for v in inversions if v > 1e-9]
+    monotone_ok = len(big) <= 1 and all(v <= 0.03 for v in big)
+    dominance_ok = all(f >= n for f, n in zip(full, no_dist))
+    ok = monotone_ok and dominance_ok
+    report(
+        capsys,
+        6,
+        "failure-rate trend",
+        ok,
+        f"full={['%.2f' % v for v in full]} no_dist={['%.2f' % v for v in no_dist]}; "
+        f"monotone={monotone_ok} dominance={dominance_ok}",
+    )
+    assert monotone_ok, f"success not non-increasing in failure rate: {full}"
+    assert dominance_ok, (
+        f"scalar-mean ablation beats the full variant at some point: "
+        f"full={full} no_dist={no_dist}"
+    )

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from planu.cli import main
 from planu.config import DEFAULTS, parse_text_config, validate_config
 from planu.errors import ConfigError
 
@@ -139,6 +140,41 @@ class TestValidateConfig:
         with pytest.raises(ConfigError) as err:
             validate_config(write(tmp_path, f"env = blocksworld\ninstance_file = {tmp_path}\n"))
         assert "cannot read" in err.value.diagnostics[0]
+
+    def test_repeated_sweep_axis_values_rejected(self, tmp_path, capsys):
+        path = write(
+            tmp_path,
+            "env = blocksworld\nseeds = 0, 0\nvariants = full, no_ucc, full\n"
+            "failure_rate = 0.1, 0.2, 0.1000001\n",
+        )
+        with pytest.raises(ConfigError) as err:
+            validate_config(path)
+        assert err.value.diagnostics == [
+            "line 2: key 'seeds': expected distinct values, got [0, 0] (repeated: 0)",
+            "line 3: key 'variants': expected distinct values, got "
+            "['full', 'no_ucc', 'full'] (repeated: 'full')",
+            "line 4: key 'failure_rate': expected distinct values, got "
+            "[0.1, 0.2, 0.1000001] (repeated: 0.1)",
+        ]
+        assert main(["sweep", "--config", path]) == 2
+        assert "key 'seeds': expected distinct values" in capsys.readouterr().err
+        cfg = validate_config(write(tmp_path, "env = blocksworld\nfailure_rate = 0.1, 0.11\n"))
+        assert cfg["failure_rate"] == [0.1, 0.11]
+
+    def test_unreadable_config_file_diagnostics(self, tmp_path):
+        missing = str(tmp_path / "missing.cfg")
+        with pytest.raises(ConfigError) as err:
+            validate_config(missing)
+        assert err.value.diagnostics == [
+            f"cannot read config file {missing!r}: No such file or directory"
+        ]
+        latin1 = tmp_path / "latin1.cfg"
+        latin1.write_bytes(b"recipe = caf\xe9\n")
+        with pytest.raises(ConfigError) as err:
+            validate_config(str(latin1))
+        assert err.value.diagnostics == [
+            f"config file {str(latin1)!r} is not UTF-8 text: byte 12: invalid continuation byte"
+        ]
 
     def test_deterministicize_k_must_be_odd(self, tmp_path):
         with pytest.raises(ConfigError):

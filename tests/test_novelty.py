@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planu.novelty import (
+    DEFAULT_EMBED_DIM,
     HashEmbedding,
     Mlp,
     RndModel,
@@ -31,9 +32,18 @@ class TestHashEmbed:
     def test_dimension_parameter(self):
         assert hash_embed("abc", 16).shape == (16,)
 
-    def test_provider_memoizes_same_object(self):
+    def test_provider_memoizes_one_row_per_text(self):
         provider = HashEmbedding()
-        assert provider.embed("s") is provider.embed("s")
+        assert provider.row("s") == provider.row("s") == 0
+        assert provider.embed("s").tobytes() == hash_embed("s").tobytes()
+        # grow the table well past its first 64 rows; earlier rows stay intact
+        texts = [f"state-{i}" for i in range(200)]
+        rows = [provider.row(t) for t in texts]
+        assert rows == list(range(1, 201))
+        assert len(provider.table) >= 201
+        assert provider.row("s") == 0
+        for t in ["s", *texts]:
+            assert provider.embed(t).tobytes() == hash_embed(t).tobytes()
 
 
 class TestMlp:
@@ -153,14 +163,14 @@ class TestRunningNormalizer:
 
 
 class DequeBuffer:
-    """The FIFO of entries deduplicated by id() while sampling: the reference
-    StateBuffer must reproduce bit for bit."""
+    """The FIFO of state texts deduplicated by text while sampling: the
+    reference StateBuffer must reproduce bit for bit."""
 
     def __init__(self, capacity):
         self._entries = deque(maxlen=capacity)
 
-    def add(self, x):
-        self._entries.append(np.asarray(x, dtype=np.float64))
+    def add(self, text):
+        self._entries.append(text)
 
     def __len__(self):
         return len(self._entries)
@@ -169,16 +179,15 @@ class DequeBuffer:
         idx = rng.integers(0, len(self._entries), size=batch_size)
         counts = {}
         for i in idx:
-            entry = self._entries[i]
-            slot = counts.setdefault(id(entry), [entry, 0])
-            slot[1] += 1
-        rows = np.stack([slot[0] for slot in counts.values()])
-        weights = np.array([slot[1] for slot in counts.values()], dtype=np.float64)
+            text = self._entries[i]
+            counts[text] = counts.get(text, 0) + 1
+        rows = np.stack([hash_embed(text) for text in counts])
+        weights = np.array(list(counts.values()), dtype=np.float64)
         return rows, weights / batch_size
 
 
-# a run of buffer operations: ("add", index into a pool of shared objects,
-# or -1 for a fresh object) or ("sample", batch size)
+# a run of buffer operations: ("add", index into a pool of shared texts,
+# or -1 for a fresh text) or ("sample", batch size)
 BUFFER_OPS = st.lists(
     st.one_of(
         st.tuples(st.just("add"), st.integers(-1, 5)),
@@ -189,37 +198,39 @@ BUFFER_OPS = st.lists(
 )
 
 
+def new_buffer(capacity=10_000):
+    return StateBuffer(HashEmbedding(), capacity)
+
+
+def texts_of(rows):
+    """The texts of "0".."9" whose embeddings are the given rows."""
+    by_bytes = {hash_embed(str(i)).tobytes(): str(i) for i in range(10)}
+    return [by_bytes[r.tobytes()] for r in rows]
+
+
 class TestStateBuffer:
     def test_fifo_eviction(self):
-        buf = StateBuffer(capacity=3)
+        buf = new_buffer(capacity=3)
         for i in range(5):
-            buf.add(np.array([float(i)]))
+            buf.add(str(i))
         assert len(buf) == 3
         rows, _ = buf.sample_weighted(100, np.random.default_rng(0))
-        assert set(rows.ravel()) <= {2.0, 3.0, 4.0}
+        assert set(texts_of(rows)) <= {"2", "3", "4"}
 
     def test_empty_sample_raises(self):
         with pytest.raises(ValueError):
-            StateBuffer().sample_weighted(1, np.random.default_rng(0))
-
-    def test_shape_mismatch_raises(self):
-        buf = StateBuffer()
-        buf.add(np.zeros(3))
-        with pytest.raises(ValueError):
-            buf.add(np.zeros(4))
-        assert len(buf) == 1
+            new_buffer().sample_weighted(1, np.random.default_rng(0))
 
     @staticmethod
     def assert_same_as_deque_buffer(ops, capacity, seed):
-        pool_rng = np.random.default_rng(seed)
-        pool = [pool_rng.normal(size=4) for _ in range(6)]
-        buf, ref = StateBuffer(capacity), DequeBuffer(capacity)
+        pool = [f"shared-{k}" for k in range(6)]
+        buf, ref = new_buffer(capacity), DequeBuffer(capacity)
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        for op, arg in ops:
+        for i, (op, arg) in enumerate(ops):
             if op == "add":
-                x = pool_rng.normal(size=4) if arg < 0 else pool[arg]
-                buf.add(x)
-                ref.add(x)
+                text = f"fresh-{i}" if arg < 0 else pool[arg]
+                buf.add(text)
+                ref.add(text)
                 assert len(buf) == len(ref)
             elif len(ref):
                 rows, weights = buf.sample_weighted(arg, rng)
@@ -234,8 +245,8 @@ class TestStateBuffer:
 
     @pytest.mark.parametrize("capacity", [100, 1000])
     def test_bit_identical_while_the_row_table_grows(self, capacity):
-        # hundreds of distinct states, with repeats, so the table outgrows its first rows
-        # and, at the smaller capacity, wraps and frees rows too
+        # hundreds of distinct states, with repeats, so the embedding table
+        # outgrows its first rows and, at the smaller capacity, the ring wraps
         rng = np.random.default_rng(capacity)
         ops = []
         for _ in range(400):
@@ -247,45 +258,42 @@ class TestStateBuffer:
     @given(adds=st.lists(st.integers(-1, 7), min_size=1, max_size=40),
            capacity=st.integers(1, 16), seed=st.integers(0, 2**16))
     def test_training_bit_identical_to_deque_buffer(self, adds, capacity, seed):
-        pool_rng = np.random.default_rng(seed)
-        pool = [pool_rng.normal(size=16) for _ in range(8)]
-        kwargs = dict(embed_dim=16, hidden_sizes=(8, 8), learning_rate=1e-2, seed=seed)
+        kwargs = dict(hidden_sizes=(8, 8), learning_rate=1e-2, seed=seed)
         model, ref_model = RndModel(**kwargs), RndModel(**kwargs)
-        buf, ref = StateBuffer(capacity), DequeBuffer(capacity)
+        buf, ref = new_buffer(capacity), DequeBuffer(capacity)
         for i, k in enumerate(adds):
-            x = pool_rng.normal(size=16) if k < 0 else pool[k]
+            text = f"fresh-{i}" if k < 0 else f"shared-{k}"
+            model.observe(buf.embedding.embed(text))
+            ref_model.observe(hash_embed(text))
             for m, b in ((model, buf), (ref_model, ref)):
-                m.observe(x)
-                b.add(x)
+                b.add(text)
                 if i % 2:
                     m.train_predictor(b, batch_size=8, steps=2)
         assert model.predictor.parameter_bytes() == ref_model.predictor.parameter_bytes()
 
     def test_bad_capacity_raises(self):
         with pytest.raises(ValueError):
-            StateBuffer(capacity=0)
+            new_buffer(capacity=0)
 
     def test_sample_weighted_weights_sum_to_one(self):
-        buf = StateBuffer()
-        shared = np.array([1.0, 2.0])
+        buf = new_buffer()
         for _ in range(10):
-            buf.add(shared)
-        buf.add(np.array([3.0, 4.0]))
+            buf.add("0")
+        buf.add("1")
         rows, weights = buf.sample_weighted(64, np.random.default_rng(0))
         assert weights.sum() == pytest.approx(1.0)
         assert rows.shape[0] == weights.shape[0] <= 2
 
     def test_sample_weighted_matches_sample_distribution(self):
-        buf = StateBuffer()
-        shared = np.array([1.0])
-        buf.add(shared)
-        buf.add(shared)
-        buf.add(np.array([2.0]))
+        buf = new_buffer()
+        buf.add("1")
+        buf.add("1")
+        buf.add("2")
         rng = np.random.default_rng(5)
         rows, weights = buf.sample_weighted(3000, rng)
-        w = dict(zip(rows.ravel().tolist(), weights.tolist()))
-        assert w[1.0] == pytest.approx(2 / 3, abs=0.05)
-        assert w[2.0] == pytest.approx(1 / 3, abs=0.05)
+        w = dict(zip(texts_of(rows), weights.tolist()))
+        assert w["1"] == pytest.approx(2 / 3, abs=0.05)
+        assert w["2"] == pytest.approx(1 / 3, abs=0.05)
 
 
 class TestRndModel:
@@ -310,13 +318,13 @@ class TestRndModel:
             model.novelty_reward(np.zeros(7))
 
     def test_training_reduces_novelty_on_seen_states(self):
-        rng = np.random.default_rng(0)
-        model = self.make_model(seed=1, learning_rate=1e-3)
-        buf = StateBuffer()
-        states = [rng.normal(size=16) for _ in range(20)]
-        for x in states:
-            model.observe(x)
-            buf.add(x)
+        model = self.make_model(seed=1, learning_rate=1e-3, embed_dim=DEFAULT_EMBED_DIM)
+        buf = new_buffer()
+        texts = [f"state-{i}" for i in range(20)]
+        for text in texts:
+            model.observe(buf.embedding.embed(text))
+            buf.add(text)
+        states = [buf.embedding.embed(text) for text in texts]
         before = np.mean([model.novelty_reward(x) for x in states])
         for _ in range(200):
             model.train_predictor(buf, batch_size=20, steps=5)
@@ -339,12 +347,12 @@ class TestRndModel:
 
     def test_train_on_empty_buffer_raises(self):
         with pytest.raises(ValueError):
-            self.make_model().train_predictor(StateBuffer())
+            self.make_model().train_predictor(new_buffer())
 
     def test_training_does_not_change_target(self):
-        model = self.make_model(seed=3)
-        buf = StateBuffer()
-        buf.add(np.ones(16))
+        model = self.make_model(seed=3, embed_dim=DEFAULT_EMBED_DIM)
+        buf = new_buffer()
+        buf.add("s")
         frozen = model.target.parameter_bytes()
         model.train_predictor(buf)
         assert model.target.parameter_bytes() == frozen

@@ -3,13 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from planu import kernels
 from planu.quantile import (
     QuantileDistribution,
     init_from_prior,
     mean,
     midpoints,
-    qr_loss,
-    qr_loss_gradient,
     qr_update,
 )
 
@@ -92,22 +91,20 @@ def test_qr_update_never_overshoots_target_hull():
 
 
 def test_qr_gradient_zero_when_all_residuals_vanish():
-    d = init_from_prior(0.3, 2)
-    grad = qr_loss_gradient(d, [0.3], kappa=1.0)
+    grad = kernels.qr_gradient(np.full(2, 0.3), midpoints(2), np.array([0.3]), 1.0)
     np.testing.assert_allclose(grad, 0.0)
 
 
 def test_qr_gradient_huber_tail_hand_case():
     # tau=0.5, theta=0, target 2, kappa=1: |u| > kappa, gradient -tau
-    d = QuantileDistribution(np.array([0.0]))
-    grad = qr_loss_gradient(d, [2.0], kappa=1.0)
+    grad = kernels.qr_gradient(np.zeros(1), midpoints(1), np.array([2.0]), 1.0)
     assert grad[0] == pytest.approx(-0.5)
 
 
 def test_qr_loss_nonnegative_and_zero_at_fit():
-    d = init_from_prior(0.25, 2)
-    assert qr_loss(d, [0.25]) == pytest.approx(0.0)
-    assert qr_loss(d, [2.0, -1.0]) > 0.0
+    values, taus = np.full(2, 0.25), midpoints(2)
+    assert kernels.qr_loss(values, taus, np.array([0.25]), 0.05) == pytest.approx(0.0)
+    assert kernels.qr_loss(values, taus, np.array([2.0, -1.0]), 0.05) > 0.0
 
 
 @given(
@@ -116,18 +113,19 @@ def test_qr_loss_nonnegative_and_zero_at_fit():
 )
 @settings(max_examples=200, deadline=None)
 def test_gradient_matches_finite_differences(values, targets):
-    d = QuantileDistribution(np.array(values))
+    values, targets = np.array(values), np.array(targets)
+    taus = midpoints(len(values))
     kappa = 0.3
-    grad = qr_loss_gradient(d, targets, kappa=kappa)
+    grad = kernels.qr_gradient(values, taus, targets, kappa)
     eps = 1e-6
-    for i in range(d.n_q):
-        plus = d.values.copy()
-        minus = d.values.copy()
+    for i in range(len(values)):
+        plus = values.copy()
+        minus = values.copy()
         plus[i] += eps
         minus[i] -= eps
         fd = (
-            qr_loss(QuantileDistribution(plus), targets, kappa=kappa)
-            - qr_loss(QuantileDistribution(minus), targets, kappa=kappa)
+            kernels.qr_loss(plus, taus, targets, kappa)
+            - kernels.qr_loss(minus, taus, targets, kappa)
         ) / (2 * eps)
         assert grad[i] == pytest.approx(fd, abs=1e-6, rel=1e-4)
 
