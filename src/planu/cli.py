@@ -202,8 +202,8 @@ def run_sweep(cfg: dict) -> tuple[list[dict], list[str]]:
     Returns (records, error messages); an empty error list means exit 0.
     """
     specs = enumerate_runs(cfg)
-    workers = cfg["parallelism"] or min(len(specs), os.cpu_count() or 1)
-    if workers > 1 and len(specs) > 1:
+    workers = min(cfg["parallelism"] or os.cpu_count() or 1, len(specs))
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_safe_execute, specs))
     else:

@@ -14,8 +14,10 @@ from collections import Counter
 
 import numpy as np
 
-DEFAULT_HIDDEN_SIZES = (64, 64, 128)
-DEFAULT_LEARNING_RATE = 1e-5
+HIDDEN_SIZES = (64, 64, 128)
+LEARNING_RATE = 1e-5
+TRAIN_BATCH_SIZE = 64
+TRAIN_STEPS = 5
 DEFAULT_INTRINSIC_WEIGHT = 0.01
 DEFAULT_EMBED_DIM = 384
 OBS_CLAMP = 1.0
@@ -204,56 +206,54 @@ class StateBuffer:
 
 
 class RndModel:
-    """Frozen target network plus trainable predictor over embeddings."""
+    """Frozen target network plus trainable predictor over state texts.
+
+    The model owns the embedding of every text it sees and the FIFO buffer
+    of observed states that the predictor trains on.
+    """
 
     def __init__(
         self,
-        embed_dim: int = DEFAULT_EMBED_DIM,
-        hidden_sizes=DEFAULT_HIDDEN_SIZES,
-        learning_rate: float = DEFAULT_LEARNING_RATE,
         intrinsic_reward_weight: float = DEFAULT_INTRINSIC_WEIGHT,
         output_gain: float = 1.0,
         seed: int = 0,
     ):
-        sizes = (embed_dim, *hidden_sizes)
+        sizes = (DEFAULT_EMBED_DIM, *HIDDEN_SIZES)
         # distinct streams so target and predictor never share weights
         self.target = Mlp(sizes, np.random.default_rng((seed, 1)))
         self.predictor = Mlp(sizes, np.random.default_rng((seed, 2)))
-        self.normalizer = RunningNormalizer(embed_dim)
+        self.normalizer = RunningNormalizer(DEFAULT_EMBED_DIM)
+        self.embedding = HashEmbedding()
+        self.buffer = StateBuffer(self.embedding)
         # feature scale applied to the output difference when scoring;
         # multiplies novelty by gain^2 without touching training dynamics
         self.output_gain = output_gain
-        self.learning_rate = learning_rate
         self.intrinsic_reward_weight = intrinsic_reward_weight
-        self.embed_dim = embed_dim
         self._rng = np.random.default_rng((seed, 3))
 
-    def observe(self, x: np.ndarray):
-        """Fold an embedding into the running normalization statistics."""
-        self.normalizer.update(np.asarray(x, dtype=np.float64))
+    def observe(self, text: str):
+        """Fold a visited state into the normalization statistics and the buffer."""
+        self.normalizer.update(self.embedding.embed(text))
+        self.buffer.add(text)
 
-    def novelty_reward(self, x: np.ndarray) -> float:
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.embed_dim,):
-            raise ValueError(f"expected embedding of dim {self.embed_dim}, got {x.shape}")
-        z = self.normalizer.normalize(x)
+    def novelty_reward(self, text: str) -> float:
+        z = self.normalizer.normalize(self.embedding.embed(text))
         diff = self.output_gain * (self.predictor.forward(z) - self.target.forward(z))
         return self.intrinsic_reward_weight * float((diff * diff).sum())
 
-    def train_predictor(self, buffer: StateBuffer, batch_size: int = 64, steps: int = 5):
+    def train_predictor(self):
         """SGD steps moving the predictor toward the frozen target.
 
         Each step trains on a weighted batch from the buffer; the loss is
         the squared error summed over output dims, averaged over the batch.
         """
-        if len(buffer) == 0:
-            raise ValueError("buffer is empty")
-        for _ in range(steps):
-            rows, weights = buffer.sample_weighted(min(batch_size, len(buffer)), self._rng)
+        for _ in range(TRAIN_STEPS):
+            batch_size = min(TRAIN_BATCH_SIZE, len(self.buffer))
+            rows, weights = self.buffer.sample_weighted(batch_size, self._rng)
             z = self.normalizer.normalize(rows)
             t = self.target.forward(z)
             p, cache = self.predictor.forward_cached(z)
             grad = p - t  # 2 * (p - t) * weights, in place
             grad *= 2.0
             grad *= weights[:, None]
-            self.predictor.sgd_step(cache, grad, self.learning_rate)
+            self.predictor.sgd_step(cache, grad, LEARNING_RATE)

@@ -15,9 +15,9 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import SearchError
-from .novelty import DEFAULT_INTRINSIC_WEIGHT, HashEmbedding, RndModel, StateBuffer
+from .novelty import DEFAULT_INTRINSIC_WEIGHT, RndModel
 from .rules import ODD, Rule, at_least, one_of, real
-from .tree import PathStep, StateKey, Tree, backpropagate, recommend, select_action
+from .tree import PathStep, Tree, backpropagate, recommend, select_action
 from .envs.wrappers import DeterministicizedEnv
 
 
@@ -133,32 +133,14 @@ def run_search(env, policy, cfg: PlannerConfig) -> SearchResult:
         policy = UniformPolicy(env)
 
     root_text = env.reset(cfg.seed)
-    rnd = buffer = None
+    rnd = None
     if behavior.use_novelty:
-        provider = HashEmbedding()
-        rnd = RndModel(
-            intrinsic_reward_weight=cfg.intrinsic_reward_weight,
-            output_gain=cfg.rnd_output_gain,
-            seed=cfg.seed,
-        )
-        buffer = StateBuffer(provider)
+        rnd = RndModel(cfg.intrinsic_reward_weight, cfg.rnd_output_gain, cfg.seed)
+        rnd.observe(root_text)
 
     tree = Tree(root_text, n_q=cfg.n_q, distributional=behavior.distributional)
-
-    def observe(text: str):
-        if rnd is None:
-            return
-        rnd.observe(provider.embed(text))
-        buffer.add(text)
-
-    def novelty_of(text: str) -> float:
-        if rnd is None:
-            return 0.0
-        return rnd.novelty_reward(provider.embed(text))
-
     start = time.perf_counter()
     traces: list[IterationTrace] = []
-    observe(root_text)
     for i in range(cfg.iterations):
         t0 = time.perf_counter()
         node = tree.root
@@ -166,18 +148,20 @@ def run_search(env, policy, cfg: PlannerConfig) -> SearchResult:
         novelty_values: list[float] = []
         try:
             while not node.is_terminal and node.depth < cfg.depth_limit:
+                text = node.key.canonical
                 if not node.is_expanded:
-                    tree.expand(node, policy.propose(node.key.canonical))
-                r_i = novelty_of(node.key.canonical)
+                    tree.expand(node, policy.propose(text))
+                r_i = rnd.novelty_reward(text) if rnd is not None else 0.0
                 novelty_values.append(r_i)
                 a = select_action(node, r_i, cfg.c1, behavior.exploration)
-                next_text, reward, done = env.step(node.key.canonical, a.action_text)
+                next_text, reward, done = env.step(text, a.action_text)
                 child = tree.attach_outcome(a, next_text, node.depth + 1, done)
                 path.append(PathStep(node, a, reward, child))
-                observe(child.key.canonical)
+                if rnd is not None:
+                    rnd.observe(next_text)
                 node = child
-            if rnd is not None and len(buffer) > 0:
-                rnd.train_predictor(buffer)
+            if rnd is not None:
+                rnd.train_predictor()
             if path:
                 backpropagate(path, cfg.gamma, cfg.qr_step, cfg.kappa, cfg.qr_step_decay)
         except SearchError:
@@ -232,5 +216,5 @@ def rollout_recommended(env, tree: Tree, seed: int):
         actions.append(action_text)
         if done:
             break
-        node = a.children.get(StateKey.from_text(state).digest) if a is not None else None
+        node = a.children.get(state) if a is not None else None
     return total, done, actions

@@ -19,20 +19,16 @@ from .errors import SearchError
 from .quantile import QuantileDistribution, init_from_prior, mean, qr_update
 
 
-def _digest(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
-
-
 @dataclass(frozen=True)
 class StateKey:
-    """Canonical state text plus a fixed-width content hash."""
+    """Canonical state text; the tree keys nodes by this text."""
 
     canonical: str
-    digest: str
 
-    @classmethod
-    def from_text(cls, text: str) -> "StateKey":
-        return cls(canonical=text, digest=_digest(text))
+    @property
+    def digest(self) -> str:
+        """Fixed-width content hash, for snapshots and error messages."""
+        return hashlib.sha256(self.canonical.encode("utf-8")).hexdigest()[:16]
 
 
 @dataclass
@@ -44,7 +40,7 @@ class ActionNode:
     z: QuantileDistribution | None = None  # None in scalar (mean-only) mode
     value: float = 0.0
     visits: int = 0
-    children: dict[str, "StateNode"] = field(default_factory=dict)
+    children: dict[str, "StateNode"] = field(default_factory=dict, repr=False)  # by state text
 
     def mean_value(self) -> float:
         """Mean return: of the distribution, or the scalar running mean."""
@@ -61,7 +57,7 @@ class StateNode:
     depth: int
     is_terminal: bool = False
     visits: int = 0
-    actions: list[ActionNode] = field(default_factory=list)
+    actions: list[ActionNode] = field(default_factory=list, repr=False)
 
     @property
     def is_expanded(self) -> bool:
@@ -79,7 +75,7 @@ class PathStep:
 
 
 class Tree:
-    """Container indexing state nodes by (digest, depth).
+    """Container indexing state nodes by (state text, depth).
 
     Re-encountering an outcome already represented at the same depth reuses
     the existing node, so repeated stochastic samples accumulate statistics
@@ -90,13 +86,12 @@ class Tree:
         self.n_q = n_q
         self.distributional = distributional
         self._index: dict[tuple[str, int], StateNode] = {}
-        self.root = self._register(StateKey.from_text(root_text), depth=0, terminal=False)
+        self.root = self._register(root_text, depth=0, terminal=False)
 
-    def _register(self, key: StateKey, depth: int, terminal: bool) -> StateNode:
-        node = self._index.get((key.digest, depth))
+    def _register(self, text: str, depth: int, terminal: bool) -> StateNode:
+        node = self._index.get((text, depth))
         if node is None:
-            node = StateNode(key=key, depth=depth, is_terminal=terminal)
-            self._index[(key.digest, depth)] = node
+            node = self._index[(text, depth)] = StateNode(StateKey(text), depth, terminal)
         return node
 
     def nodes(self) -> list[StateNode]:
@@ -120,11 +115,9 @@ class Tree:
 
     def attach_outcome(self, a: ActionNode, next_text: str, depth: int, terminal: bool) -> StateNode:
         """Return the child for this outcome, creating it on first sight."""
-        key = StateKey.from_text(next_text)
-        child = a.children.get(key.digest)
+        child = a.children.get(next_text)
         if child is None:
-            child = self._register(key, depth, terminal)
-            a.children[key.digest] = child
+            child = a.children[next_text] = self._register(next_text, depth, terminal)
         return child
 
 

@@ -16,7 +16,7 @@ from planu import kernels
 from planu.cli import run_sweep
 from planu.config import DEFAULTS
 from planu.envs import BlocksworldEnv, StockEnv, generate_instance
-from planu.novelty import HashEmbedding, RndModel, StateBuffer
+from planu.novelty import RndModel
 from planu.planner import PlannerConfig, rollout_recommended, run_search
 from planu.quantile import init_from_prior, midpoints, qr_update
 
@@ -75,19 +75,15 @@ def _blocksworld_rates(jobs, pool_size=None):
 
 def _rnd_seed_trial(seed):
     model = RndModel(seed=seed)
-    provider = HashEmbedding()
-    buffer = StateBuffer(provider)
-    train_texts = [f"train-state-{seed}-{i}" for i in range(100)]
-    for text in train_texts:
-        model.observe(provider.embed(text))
-        buffer.add(text)
-    train = [provider.embed(text) for text in train_texts]
-    held = [provider.embed(f"held-out-state-{seed}-{i}") for i in range(100)]
-    pre = float(np.mean([model.novelty_reward(x) for x in train]))
+    train = [f"train-state-{seed}-{i}" for i in range(100)]
+    held = [f"held-out-state-{seed}-{i}" for i in range(100)]
+    for text in train:
+        model.observe(text)
+    pre = float(np.mean([model.novelty_reward(text) for text in train]))
     for _ in range(5_000):
-        model.train_predictor(buffer, batch_size=64, steps=5)
-    post = float(np.mean([model.novelty_reward(x) for x in train]))
-    post_held = float(np.mean([model.novelty_reward(x) for x in held]))
+        model.train_predictor()
+    post = float(np.mean([model.novelty_reward(text) for text in train]))
+    post_held = float(np.mean([model.novelty_reward(text) for text in held]))
     return pre, post, post_held
 
 

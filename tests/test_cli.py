@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -192,6 +193,16 @@ class TestRunSweep:
                 aggregate = fh.read()
             outs.append((summary, aggregate))
         assert outs[0] == outs[1]
+
+    def test_pool_capped_at_run_count(self, tmp_path, monkeypatch):
+        pool = mock.MagicMock()
+        pool.return_value.__enter__.return_value.map = map  # runs in this process
+        monkeypatch.setattr(planu.cli, "ProcessPoolExecutor", pool)
+        cfg = load_cfg(tmp_path, STOCK_CFG, out_dir=str(tmp_path / "runs"), parallelism=16,
+                       seeds=[0], iterations=5)
+        records, errors = run_sweep(cfg)
+        assert errors == [] and len(records) == 2
+        pool.assert_called_once_with(max_workers=2)
 
     def test_per_run_error_reported_not_fatal(self, tmp_path):
         out = str(tmp_path / "runs")

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planu.novelty import (
-    DEFAULT_EMBED_DIM,
     HashEmbedding,
     Mlp,
     RndModel,
@@ -258,17 +257,15 @@ class TestStateBuffer:
     @given(adds=st.lists(st.integers(-1, 7), min_size=1, max_size=40),
            capacity=st.integers(1, 16), seed=st.integers(0, 2**16))
     def test_training_bit_identical_to_deque_buffer(self, adds, capacity, seed):
-        kwargs = dict(hidden_sizes=(8, 8), learning_rate=1e-2, seed=seed)
-        model, ref_model = RndModel(**kwargs), RndModel(**kwargs)
-        buf, ref = new_buffer(capacity), DequeBuffer(capacity)
+        model, ref_model = RndModel(seed=seed), RndModel(seed=seed)
+        model.buffer = StateBuffer(model.embedding, capacity)
+        ref_model.buffer = DequeBuffer(capacity)
         for i, k in enumerate(adds):
             text = f"fresh-{i}" if k < 0 else f"shared-{k}"
-            model.observe(buf.embedding.embed(text))
-            ref_model.observe(hash_embed(text))
-            for m, b in ((model, buf), (ref_model, ref)):
-                b.add(text)
+            for m in (model, ref_model):
+                m.observe(text)
                 if i % 2:
-                    m.train_predictor(b, batch_size=8, steps=2)
+                    m.train_predictor()
         assert model.predictor.parameter_bytes() == ref_model.predictor.parameter_bytes()
 
     def test_bad_capacity_raises(self):
@@ -297,62 +294,53 @@ class TestStateBuffer:
 
 
 class TestRndModel:
-    def make_model(self, **kwargs):
-        kwargs.setdefault("embed_dim", 16)
-        kwargs.setdefault("hidden_sizes", (8, 8))
-        return RndModel(**kwargs)
-
     def test_novelty_nonnegative_and_deterministic(self):
-        model = self.make_model(seed=0)
-        x = hash_embed("some state", 16)
-        assert model.novelty_reward(x) >= 0.0
-        assert model.novelty_reward(x) == model.novelty_reward(x)
+        model = RndModel(seed=0)
+        assert model.novelty_reward("some state") >= 0.0
+        assert model.novelty_reward("some state") == model.novelty_reward("some state")
 
     def test_target_and_predictor_differ(self):
-        model = self.make_model(seed=0)
+        model = RndModel(seed=0)
         assert model.target.parameter_bytes() != model.predictor.parameter_bytes()
 
-    def test_dimension_mismatch_raises(self):
-        model = self.make_model()
-        with pytest.raises(ValueError):
-            model.novelty_reward(np.zeros(7))
+    def test_observe_updates_normalizer_and_buffer(self):
+        model = RndModel()
+        for text in ("a", "b", "a"):
+            model.observe(text)
+        assert model.normalizer.count == len(model.buffer) == 3
+        rows, _ = model.buffer.sample_weighted(64, np.random.default_rng(0))
+        assert {r.tobytes() for r in rows} == {hash_embed(t).tobytes() for t in "ab"}
 
     def test_training_reduces_novelty_on_seen_states(self):
-        model = self.make_model(seed=1, learning_rate=1e-3, embed_dim=DEFAULT_EMBED_DIM)
-        buf = new_buffer()
+        model = RndModel(seed=1)
         texts = [f"state-{i}" for i in range(20)]
         for text in texts:
-            model.observe(buf.embedding.embed(text))
-            buf.add(text)
-        states = [buf.embedding.embed(text) for text in texts]
-        before = np.mean([model.novelty_reward(x) for x in states])
+            model.observe(text)
+        before = np.mean([model.novelty_reward(text) for text in texts])
         for _ in range(200):
-            model.train_predictor(buf, batch_size=20, steps=5)
-        after = np.mean([model.novelty_reward(x) for x in states])
+            model.train_predictor()
+        after = np.mean([model.novelty_reward(text) for text in texts])
         assert after < before
 
     def test_output_gain_scales_novelty_quadratically(self):
-        x = hash_embed("state", 16)
-        lo = self.make_model(seed=2, output_gain=1.0)
-        hi = self.make_model(seed=2, output_gain=10.0)
-        lo.observe(x)
-        hi.observe(x)
-        assert hi.novelty_reward(x) == pytest.approx(100.0 * lo.novelty_reward(x))
+        lo = RndModel(seed=2, output_gain=1.0)
+        hi = RndModel(seed=2, output_gain=10.0)
+        lo.observe("state")
+        hi.observe("state")
+        assert hi.novelty_reward("state") == pytest.approx(100.0 * lo.novelty_reward("state"))
 
     def test_intrinsic_weight_scales_novelty_linearly(self):
-        x = hash_embed("state", 16)
-        a = self.make_model(seed=2, intrinsic_reward_weight=0.01)
-        b = self.make_model(seed=2, intrinsic_reward_weight=0.02)
-        assert b.novelty_reward(x) == pytest.approx(2.0 * a.novelty_reward(x))
+        a = RndModel(seed=2, intrinsic_reward_weight=0.01)
+        b = RndModel(seed=2, intrinsic_reward_weight=0.02)
+        assert b.novelty_reward("state") == pytest.approx(2.0 * a.novelty_reward("state"))
 
     def test_train_on_empty_buffer_raises(self):
         with pytest.raises(ValueError):
-            self.make_model().train_predictor(new_buffer())
+            RndModel().train_predictor()
 
     def test_training_does_not_change_target(self):
-        model = self.make_model(seed=3, embed_dim=DEFAULT_EMBED_DIM)
-        buf = new_buffer()
-        buf.add("s")
+        model = RndModel(seed=3)
+        model.observe("s")
         frozen = model.target.parameter_bytes()
-        model.train_predictor(buf)
+        model.train_predictor()
         assert model.target.parameter_bytes() == frozen

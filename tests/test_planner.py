@@ -113,6 +113,14 @@ class TestRunSearch:
         result = run_search(StockEnv(), None, PlannerConfig(iterations=20, n_q=7))
         assert all(a.z is not None and a.z.n_q == 7 for a in result.tree.root.actions)
 
+    def test_node_reprs_stay_small(self):
+        # a node's repr leaves out its subtree: children and actions
+        env = generate_instance(4, 4, failure_rate=0.2, seed=0)
+        result = run_search(env, None, PlannerConfig(iterations=20, seed=0))
+        root = result.tree.root
+        sizes = [len(repr(node)) for node in (root, *root.actions)]
+        assert max(sizes) < 4_000
+
     def test_deterministic_baseline_prefers_risky_stock_action(self):
         # the mode-outcome wrapper hides the 40% zero outcome of the risky
         # action, so its deterministicized value (1.0) beats the safe 0.9

@@ -65,7 +65,6 @@ def test_search_invariants(env_name, variant, seed, iterations, failure_rate):
         again = run_search(build_env(spec), None, cfg)
     assert CountingRndModel.made == (0 if variant == "no_ucc" else 2)
 
-    # plain values only in the asserts below: the repr of a node is its whole subtree
     tree, env = result.tree, build_env(spec)
     lo, hi = return_bounds(env_name, cfg.depth_limit)
     root_visits = tree.root.visits
@@ -82,6 +81,10 @@ def test_search_invariants(env_name, variant, seed, iterations, failure_rate):
             # the mean is cached per distribution: it must be that of the current values
             cached = a.mean_value()
             assert cached == float(values.mean()), (text, a.action_text)
+            # children are keyed by their own state text, one level down
+            for child_text, child in a.children.items():
+                assert child_text == child.key.canonical, (text, a.action_text)
+                assert child.depth == s.depth + 1, (text, a.action_text)
     root_legal = env.legal_actions(tree.root.key.canonical)
     assert result.recommended_action in root_legal
     first, second = (json.dumps(snapshot(r.tree), sort_keys=True) for r in (result, again))

@@ -27,10 +27,12 @@ def expand_root(tree, proposals=None):
 
 class TestStateKey:
     def test_equal_text_equal_digest(self):
-        assert StateKey.from_text("abc") == StateKey.from_text("abc")
+        assert StateKey("abc") == StateKey("abc")
+        assert StateKey("abc").digest == StateKey("abc").digest
 
     def test_distinct_text_distinct_digest(self):
-        assert StateKey.from_text("abc").digest != StateKey.from_text("abd").digest
+        assert StateKey("abc").digest != StateKey("abd").digest
+        assert len(StateKey("abc").digest) == 16
 
 
 class TestExpand:
@@ -81,7 +83,7 @@ class TestAttachOutcome:
         first = tree.attach_outcome(a, "next", depth=1, terminal=False)
         second = tree.attach_outcome(a, "next", depth=1, terminal=False)
         assert first is second
-        assert len(a.children) == 1
+        assert a.children == {"next": first}  # keyed by the outcome's state text
 
     def test_distinct_outcomes_get_distinct_children(self):
         tree = make_tree()

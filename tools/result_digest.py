@@ -5,8 +5,9 @@ and every variant in `planu.planner.VARIANTS`, at seeds 0 and 1 and a
 fixed iteration budget, through the same `build_env` and `planner_config`
 the CLI uses. The hash covers the tree structure and visit counts, each
 action node's quantile bytes (or scalar value), every iteration's novelty
-values and the evaluation rollouts. Two source trees that print the same
-digest made the same search decisions.
+values, the evaluation rollouts and the tree snapshot with its node
+digests. Two source trees that print the same digest made the same search
+decisions.
 
     PYTHONPATH=src python3 tools/result_digest.py [--iterations N] [--verbose]
 """
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import json
 import os
 
 # one BLAS thread, as in the tests, before numpy is imported
@@ -32,6 +34,7 @@ from planu.cli import (  # noqa: E402
 from planu.config import DEFAULTS  # noqa: E402
 from planu.envs import ENVS  # noqa: E402
 from planu.planner import VARIANTS, rollout_recommended, run_search  # noqa: E402
+from planu.tree import snapshot  # noqa: E402
 
 SEEDS = [0, 1]
 
@@ -51,6 +54,7 @@ def run_digest(spec, iterations: int) -> str:
     result = run_search(env, None, cfg)
     h = hashlib.sha256()
     _feed_tree(h, result.tree)
+    h.update(json.dumps(snapshot(result.tree), sort_keys=True).encode())
     for t in result.traces:
         h.update(np.array(t.novelty_values, dtype=np.float64).tobytes())
     h.update(result.recommended_action.encode())
