@@ -96,6 +96,9 @@ class BlocksworldEnv:
         self.max_steps = 40
         _check_state(self.blocks, self.init_facts)
         self._rng = np.random.default_rng(seed)
+        # (state, action_text) -> _outcome(...): a step is a pure function of
+        # the pair and the failure draw, so each pair is worked out once
+        self._outcomes: dict[tuple[str, str], tuple[str, bool, bool]] = {}
 
     @classmethod
     def from_instance(cls, text: str, failure_rate: float = 0.2, seed: int = 0):
@@ -161,6 +164,22 @@ class BlocksworldEnv:
         return True
 
     def step(self, state: str, action_text: str) -> tuple[str, float, bool]:
+        key = (state, action_text)
+        outcome = self._outcomes.get(key)
+        move = self._check_action(action_text) if outcome is None else None
+        # one draw per step, after the action is checked and before the state
+        # is read, whether or not the action applies or its outcome is memoised
+        failed = self._rng.random() < self.failure_rate
+        if outcome is None:
+            outcome = self._outcomes[key] = self._outcome(state, *move)
+        next_state, done_if_success, done_if_failed = outcome
+        if failed:
+            next_state, done = state, done_if_failed
+        else:
+            done = done_if_success
+        return next_state, (1.0 if done else 0.0), done
+
+    def _check_action(self, action_text: str) -> tuple[str, str, str | None]:
         m = _ACTION_RE.match(action_text.strip())
         if m is None:
             raise EnvError(f"malformed action {action_text!r}")
@@ -169,14 +188,17 @@ class BlocksworldEnv:
             raise EnvError(f"wrong arity for {op}: {action_text!r}")
         if x not in self.blocks or (y is not None and y not in self.blocks):
             raise EnvError(f"unknown block in {action_text!r}")
-        # draw before the legality check so the RNG stream is consumed
-        # identically whether or not the action turns out to apply
-        failed = self._rng.random() < self.failure_rate
+        return op, x, y
+
+    def _outcome(self, state: str, op: str, x: str, y: str | None) -> tuple[str, bool, bool]:
+        """(state if the action succeeds, done if it succeeds, done if it fails).
+
+        An inapplicable action leaves the state unchanged either way.
+        """
         facts = set(parse_facts(state))
-        applicable = self._apply(facts, op, x, y)
-        next_state = canonical(facts) if applicable and not failed else state
-        done = self.goal_facts <= parse_facts(next_state)
-        return next_state, (1.0 if done else 0.0), done
+        success = canonical(facts) if self._apply(facts, op, x, y) else state
+        goal = self.goal_facts
+        return success, goal <= parse_facts(success), goal <= parse_facts(state)
 
 
 def random_goal_state(blocks, rng: np.random.Generator) -> frozenset[str]:

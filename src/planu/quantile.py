@@ -7,8 +7,8 @@ not re-sorted after updates; quantile crossing is allowed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cache, cached_property
+import math
+from functools import cache
 
 import numpy as np
 
@@ -26,23 +26,30 @@ def midpoints(n_q: int) -> np.ndarray:
     return taus
 
 
-@dataclass(frozen=True)
 class QuantileDistribution:
     """An ordered set of n_q quantile values with uniform weights 1/n_q.
 
     The values are never changed in place: an update builds a new
-    distribution, so the mean is computed once, on first use.
+    distribution, so the mean is computed once, at construction. It has
+    the same bits as values.mean().
     """
 
-    values: np.ndarray
+    __slots__ = ("values", "mean")
 
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.float64)
+    def __init__(self, values):
+        arr = np.asarray(values, dtype=np.float64)
         if arr.ndim != 1 or arr.shape[0] < 1:
             raise ValueError("quantile values must be a nonempty 1-d array")
-        if not np.isfinite(arr).all():
+        mean = float(arr.sum()) / arr.shape[0]
+        # a finite mean implies finite values; a sum that overflows is
+        # checked element by element, so only NaN and inf values are rejected
+        if not math.isfinite(mean) and not np.isfinite(arr).all():
             raise ValueError("quantile values must be finite")
-        object.__setattr__(self, "values", arr)
+        self.values = arr
+        self.mean = mean
+
+    def __repr__(self) -> str:
+        return f"QuantileDistribution(values={self.values!r})"
 
     @property
     def n_q(self) -> int:
@@ -52,10 +59,6 @@ class QuantileDistribution:
     def taus(self) -> np.ndarray:
         return midpoints(self.n_q)
 
-    @cached_property
-    def mean(self) -> float:
-        return float(self.values.mean())
-
 
 def init_from_prior(prior: float, n_q: int) -> QuantileDistribution:
     """Distribution with every quantile value set to the action prior."""
@@ -64,10 +67,6 @@ def init_from_prior(prior: float, n_q: int) -> QuantileDistribution:
     if n_q < 1:
         raise ValueError(f"n_q must be >= 1, got {n_q}")
     return QuantileDistribution(np.full(n_q, float(prior)))
-
-
-def mean(d: QuantileDistribution) -> float:
-    return d.mean
 
 
 def qr_update(

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SearchError
-from .quantile import QuantileDistribution, init_from_prior, mean, qr_update
+from .quantile import QuantileDistribution, init_from_prior, qr_update
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,7 @@ class ActionNode:
         """Mean return: of the distribution, or the scalar running mean."""
         if self.z is None:
             return self.value
-        return mean(self.z)
+        return self.z.mean
 
 
 @dataclass
@@ -136,17 +136,24 @@ def select_action(
     if not s.actions:
         raise SearchError(f"select_action on a state with no actions ({s.key.digest})")
     if exploration == "uct":
-        n_parent = max(sum(a.visits for a in s.actions), 1)
-        bonuses = [
-            c1 * math.sqrt(math.log(n_parent) / a.visits) if a.visits > 0 else math.inf
+        # a state's visits are the sum of its actions' visits
+        log_n = math.log(max(s.visits, 1))
+        scores = [
+            a.mean_value() + (c1 * math.sqrt(log_n / a.visits) if a.visits > 0 else math.inf)
             for a in s.actions
         ]
     elif exploration == "curiosity":
-        bonuses = [c1 * novelty / max(a.visits, 1) for a in s.actions]
+        if not math.isfinite(novelty):
+            raise SearchError(f"non-finite novelty {novelty} at state {s.key.digest}")
+        scores = [a.mean_value() + c1 * novelty / max(a.visits, 1) for a in s.actions]
     else:
         raise ValueError(f"unknown exploration mode {exploration!r}")
-    scores = [a.mean_value() + b for a, b in zip(s.actions, bonuses)]
-    return s.actions[int(np.argmax(scores))]
+    return s.actions[_first_max(scores)]
+
+
+def _first_max(scores: list[float]) -> int:
+    """Index of the first maximal score, as np.argmax picks it."""
+    return max(range(len(scores)), key=scores.__getitem__)
 
 
 def backpropagate(
@@ -189,7 +196,7 @@ def recommend(root: StateNode) -> ActionNode:
     """Exploitation-only extraction: argmax of mean return, no bonuses."""
     if not root.actions:
         raise SearchError("recommend on an unexpanded root")
-    return root.actions[int(np.argmax([a.mean_value() for a in root.actions]))]
+    return root.actions[_first_max([a.mean_value() for a in root.actions])]
 
 
 def snapshot(tree: Tree) -> dict:

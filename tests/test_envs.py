@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planu.cli import build_env, enumerate_runs
 from planu.config import DEFAULTS
@@ -13,6 +15,7 @@ from planu.envs import (
     parse_facts,
     parse_instance,
 )
+from planu.envs.blocksworld import _ACTION_RE, canonical
 from planu.errors import EnvError
 
 
@@ -146,6 +149,106 @@ class TestBlocksworldDynamics:
         env = self.make_env()
         state = env.reset(0)
         assert state == " ".join(sorted(state.split()))
+
+
+class UnmemoisedBlocksworldEnv(BlocksworldEnv):
+    """Blocks world stepped from scratch every time: the reference that the
+    memoised BlocksworldEnv.step must reproduce, outputs and draws alike."""
+
+    def step(self, state, action_text):
+        m = _ACTION_RE.match(action_text.strip())
+        if m is None:
+            raise EnvError(f"malformed action {action_text!r}")
+        op, x, y = m.group(1), m.group(2), m.group(3)
+        if (op in ("stack", "unstack")) != (y is not None):
+            raise EnvError(f"wrong arity for {op}: {action_text!r}")
+        if x not in self.blocks or (y is not None and y not in self.blocks):
+            raise EnvError(f"unknown block in {action_text!r}")
+        failed = self._rng.random() < self.failure_rate
+        facts = set(parse_facts(state))
+        applicable = self._apply(facts, op, x, y)
+        next_state = canonical(facts) if applicable and not failed else state
+        done = self.goal_facts <= parse_facts(next_state)
+        return next_state, (1.0 if done else 0.0), done
+
+
+THREE_BLOCKS = """
+blocks: a b c
+init: ontable(a) ontable(b) ontable(c) clear(a) clear(b) clear(c) handempty
+goal: on(a,b)
+"""
+# every well-formed action over a-c, applicable or not, then malformed ones
+WELL_FORMED = sorted(
+    [f"{op}({x})" for op in ("pickup", "putdown") for x in "abc"]
+    + [f"{op}({x},{y})" for op in ("stack", "unstack") for x in "abc" for y in "abc" if x != y]
+)
+MALFORMED = ["fly(a)", "pickup(a,b)", "stack(a)", "pickup(z)", "stack(a,z)"]
+
+
+def reachable_states(instance):
+    """Every state reachable from the initial one, goal states included."""
+    env = UnmemoisedBlocksworldEnv.from_instance(instance, failure_rate=0.0)
+    seen = [env.reset(0)]
+    for state in seen:  # grows while it is walked
+        for action in env.legal_actions(state):
+            nxt, _, _ = env.step(state, action)
+            if nxt not in seen:
+                seen.append(nxt)
+    return seen
+
+
+STATES = reachable_states(THREE_BLOCKS)
+ACTIONS = WELL_FORMED + MALFORMED
+# one step: ("any", state, action) picks from STATES x ACTIONS, ("legal",
+# state, k) the state's k-th legal action (mod their number), so that
+# applicable actions, goal-reaching ones among them, come up often; "again"
+# repeats the previous pair
+STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(["any", "legal"]), st.integers(0, len(STATES) - 1),
+                  st.integers(0, len(ACTIONS) - 1)),
+        st.just("again"),
+    ),
+    min_size=1,
+    max_size=80,
+)
+
+
+class TestMemoisedStep:
+    def test_reachable_states_include_goal(self):
+        env = BlocksworldEnv.from_instance(THREE_BLOCKS)
+        assert len(STATES) == 22
+        assert any(env.goal_reached(state) for state in STATES)
+
+    @settings(max_examples=150, deadline=None)
+    @given(steps=STEPS,
+           rate=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+           seed=st.integers(0, 2**16))
+    def test_same_as_unmemoised_step(self, steps, rate, seed):
+        env = BlocksworldEnv.from_instance(THREE_BLOCKS, failure_rate=rate, seed=seed)
+        ref = UnmemoisedBlocksworldEnv.from_instance(THREE_BLOCKS, failure_rate=rate, seed=seed)
+        stepped = set()
+        pair = None
+        for step in steps:
+            if step != "again":
+                kind, i, k = step
+                state = STATES[i]
+                legal = ref.legal_actions(state)
+                pair = (state, ACTIONS[k] if kind == "any" else legal[k % len(legal)])
+            elif pair is None:
+                continue
+            if pair[1] in MALFORMED:
+                before = env._rng.bit_generator.state
+                for e in (env, ref):
+                    with pytest.raises(EnvError):
+                        e.step(*pair)
+                assert env._rng.bit_generator.state == before
+                assert pair not in env._outcomes
+            else:
+                assert env.step(*pair) == ref.step(*pair)
+                stepped.add(pair)
+            assert env._rng.bit_generator.state == ref._rng.bit_generator.state
+            assert set(env._outcomes) == stepped
 
 
 class TestGenerateInstance:

@@ -7,7 +7,6 @@ from planu import kernels
 from planu.quantile import (
     QuantileDistribution,
     init_from_prior,
-    mean,
     midpoints,
     qr_update,
 )
@@ -25,7 +24,7 @@ def test_init_from_prior_constant():
     np.testing.assert_array_equal(d.values, [0.0, 0.0])
     d = init_from_prior(0.42, 50)
     assert d.n_q == 50
-    assert mean(d) == pytest.approx(0.42)
+    assert d.mean == pytest.approx(0.42)
 
 
 def test_init_from_prior_rejects_bad_args():
@@ -46,9 +45,54 @@ def test_distribution_rejects_non_finite():
         QuantileDistribution(np.array([]))
 
 
+def test_distribution_accepts_finite_values_whose_sum_overflows():
+    with np.errstate(over="ignore"):
+        d = QuantileDistribution(np.array([1e308, 1e308]))
+        assert d.mean == float(d.values.mean()) == np.inf
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("n", [1, 2, 51])
+def test_distribution_rejects_one_non_finite_value(bad, n):
+    values = np.full(n, 0.5)
+    values[n // 2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        QuantileDistribution(values)
+
+
+def mean_bytes_equal(values):
+    # a sum may overflow to inf, or to NaN from inf - inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = QuantileDistribution(np.array(values))
+        expected = d.values.mean()
+    return np.float64(d.mean).tobytes() == np.float64(expected).tobytes()
+
+
+@pytest.mark.parametrize("values", [
+    [-0.0],
+    [-0.0, -0.0, -0.0],
+    [0.0, -0.0],
+    [5e-324],
+    [5e-324, -5e-324, 1e-310],
+    [2.2250738585072014e-308, 1e-320, 3e-315],
+    [1.7976931348623157e308],
+    [1.7976931348623157e308, -1.7976931348623157e308, 1e308],
+    [1.7976931348623157e308] * 3,
+    [-1e308, -1e308, 1e308, -1e308, 1e308, 1e308, -1e308, 1e308, -1e308],
+])
+def test_mean_bytes_equal_numpy_mean_at_the_edges(values):
+    assert mean_bytes_equal(values)
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=60))
+@settings(max_examples=300, deadline=None)
+def test_mean_bytes_equal_numpy_mean(values):
+    assert mean_bytes_equal(values)
+
+
 def test_mean_simple():
-    assert mean(QuantileDistribution(np.array([0.5, 0.5, 0.5]))) == 0.5
-    assert mean(QuantileDistribution(np.array([0.0, 1.0]))) == 0.5
+    assert QuantileDistribution(np.array([0.5, 0.5, 0.5])).mean == 0.5
+    assert QuantileDistribution(np.array([0.0, 1.0])).mean == 0.5
 
 
 def test_qr_update_single_quantile_hand_case():
@@ -133,7 +177,7 @@ def test_gradient_matches_finite_differences(values, targets):
 @given(st.floats(0.0, 1.0), st.integers(1, 200))
 @settings(max_examples=100, deadline=None)
 def test_init_mean_equals_prior(prior, n_q):
-    assert mean(init_from_prior(prior, n_q)) == pytest.approx(prior)
+    assert init_from_prior(prior, n_q).mean == pytest.approx(prior)
 
 
 @given(
@@ -171,4 +215,4 @@ def test_converged_bandit_mean():
     for n in range(1, 3001):
         r = 1.0 if rng.random() < 0.6 else 0.0
         d = qr_update(d, [r], step=2.0 / n**0.75, kappa=0.05)
-    assert mean(d) == pytest.approx(0.6, abs=0.05)
+    assert d.mean == pytest.approx(0.6, abs=0.05)

@@ -1,0 +1,22 @@
+"""Search results stay bit-identical: `tools/result_digest.py` at 20 iterations.
+
+A change that is meant to change search results updates DIGEST_20 and says
+so in CHANGES.md; any other change must leave the digest as it is.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+DIGEST_20 = "d61eae756f1ebcf182201b84e5e9a8d54afe6134287acd13d6eacd60444eaadd"
+
+
+def test_result_digest_unchanged():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "result_digest.py"), "--iterations", "20"],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert out.stdout.strip() == DIGEST_20

@@ -1,7 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planu.errors import SearchError
 from planu.quantile import QuantileDistribution
@@ -23,6 +26,29 @@ def make_tree(**kwargs):
 def expand_root(tree, proposals=None):
     proposals = proposals or [("go", 0.5), ("stay", 0.5)]
     return tree.expand(tree.root, proposals)
+
+
+# a root's actions as (mean, visits): few distinct means and counts, so
+# scores tie often, and unvisited actions get an infinite UCT bonus
+ROOT_ACTIONS = st.lists(
+    st.tuples(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.integers(0, 3)),
+    min_size=1,
+    max_size=10,
+)
+
+
+def root_with(actions, distributional):
+    """A tree whose root actions have these (mean, visits), visits summed at the root."""
+    tree = make_tree(distributional=distributional)
+    nodes = expand_root(tree, [(f"a{i}", 0.5) for i in range(len(actions))])
+    for node, (m, visits) in zip(nodes, actions):
+        if distributional:
+            node.z = QuantileDistribution(np.full(5, m))
+        else:
+            node.value = m
+        node.visits = visits
+    tree.root.visits = sum(visits for _, visits in actions)
+    return tree.root
 
 
 class TestStateKey:
@@ -145,6 +171,26 @@ class TestSelectAction:
         (a, b) = expand_root(tree, [("a", 0.9), ("b", 0.1)])
         a.visits = 5
         assert select_action(tree.root, novelty=0.0, c1=0.25, exploration="uct") is b
+
+    @pytest.mark.parametrize("novelty", [math.nan, math.inf, -math.inf])
+    def test_non_finite_novelty_raises(self, novelty):
+        tree = make_tree()
+        (a, b) = expand_root(tree, [("a", 0.2), ("b", 0.9)])
+        with pytest.raises(SearchError, match=tree.root.key.digest):
+            select_action(tree.root, novelty=novelty, c1=0.25)
+
+    @settings(max_examples=200, deadline=None)
+    @given(actions=ROOT_ACTIONS, distributional=st.booleans(),
+           novelty=st.sampled_from([0.0, 0.5, 1.0]), c1=st.sampled_from([0.0, 0.25, 1.0]))
+    def test_same_choice_as_argmax(self, actions, distributional, novelty, c1):
+        root = root_with(actions, distributional)
+        means = [m for m, _ in actions]
+        curiosity = [m + c1 * novelty / max(n, 1) for m, n in actions]
+        log_n = math.log(max(root.visits, 1))
+        uct = [m + (c1 * math.sqrt(log_n / n) if n > 0 else math.inf) for m, n in actions]
+        assert select_action(root, novelty, c1) is root.actions[int(np.argmax(curiosity))]
+        assert select_action(root, novelty, c1, "uct") is root.actions[int(np.argmax(uct))]
+        assert recommend(root) is root.actions[int(np.argmax(means))]
 
     def test_unknown_exploration_mode_raises(self):
         tree = make_tree()
