@@ -15,7 +15,7 @@ from collections import Counter
 import numpy as np
 
 HIDDEN_SIZES = (64, 64, 128)
-LEARNING_RATE = 1e-5
+LEARNING_RATE = np.float32(1e-5)  # float32, like every array of the model
 TRAIN_BATCH_SIZE = 64
 TRAIN_STEPS = 5
 DEFAULT_INTRINSIC_WEIGHT = 0.01
@@ -48,13 +48,14 @@ class HashEmbedding:
     """hash_embed at DEFAULT_EMBED_DIM, memoized by text: the one store of
     state embeddings.
 
-    Each distinct text is embedded once, into a row of `table`, which
-    starts at 64 rows and doubles as it fills. Call row() before reading
-    `table`: embedding a new text may replace the table with a larger one.
+    Each distinct text is embedded once, into a float32 row of `table`,
+    which starts at 64 rows and doubles as it fills. Call row() before
+    reading `table`: embedding a new text may replace the table with a
+    larger one.
     """
 
     def __init__(self):
-        self.table = np.empty((64, DEFAULT_EMBED_DIM))
+        self.table = np.empty((64, DEFAULT_EMBED_DIM), dtype=np.float32)
         self._row_of: dict[str, int] = {}
 
     def row(self, text: str) -> int:
@@ -64,7 +65,7 @@ class HashEmbedding:
             row = len(self._row_of)
             if row == len(self.table):
                 self.table = np.concatenate([self.table, np.empty_like(self.table)])
-            self.table[row] = hash_embed(text)
+            self.table[row] = hash_embed(text)  # cast to float32 on store
             self._row_of[text] = row
         return row
 
@@ -73,66 +74,86 @@ class HashEmbedding:
         return self.table[row]
 
 
-class Mlp:
-    """Small ReLU MLP with manual forward/backward (numpy)."""
+TARGET, PREDICTOR = 0, 1
 
-    def __init__(self, sizes, rng: np.random.Generator):
-        self.sizes = tuple(sizes)
+
+class NetworkPair:
+    """The frozen target and the trained predictor: two ReLU MLPs of the same
+    shape, stacked so that one matmul per layer evaluates both.
+
+    Layer k holds float32 weights of shape (2, fan_in, fan_out) and biases
+    of shape (2, 1, fan_out); slice TARGET is the target, slice PREDICTOR
+    the predictor. Only the predictor has a backward pass.
+    """
+
+    def __init__(self, sizes: tuple[int, ...], seed: int):
+        # distinct streams so target and predictor never share weights
+        rngs = [np.random.default_rng((seed, 1)), np.random.default_rng((seed, 2))]
         self.weights = []
         self.biases = []
-        for k in range(len(self.sizes) - 1):
-            fan_in = self.sizes[k]
+        for fan_in, fan_out in zip(sizes, sizes[1:]):
             bound = np.sqrt(6.0 / fan_in)
-            w = rng.uniform(-bound, bound, size=(fan_in, self.sizes[k + 1]))
-            b = rng.uniform(-1.0, 1.0, size=self.sizes[k + 1]) / np.sqrt(fan_in)
-            self.weights.append(w)
-            self.biases.append(b)
+            w, b = [], []
+            for rng in rngs:  # drawn in float64, as each stream always has been
+                w.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
+                b.append(rng.uniform(-1.0, 1.0, size=(1, fan_out)) / np.sqrt(fan_in))
+            self.weights.append(np.stack(w).astype(np.float32))
+            self.biases.append(np.stack(b).astype(np.float32))
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        return self.forward_cached(x)[0]
+    def forward(self, x: np.ndarray) -> list[np.ndarray]:
+        """Both networks on x, a row or a batch of rows.
 
-    def forward_cached(self, x: np.ndarray):
-        """Forward pass keeping pre-activation inputs for backward()."""
+        Returns the activations for sgd_step(): the input as a batch, then
+        each layer's output for both networks, of shape (2, rows, fan_out);
+        the last is the networks' output.
+        """
         h = x if x.ndim == 2 else x[None, :]
-        cache = [h]
+        activations = [h]
         last = len(self.weights) - 1
         for k, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w
+            h = np.matmul(h, w)
             h += b
             if k < last:
                 np.maximum(h, 0.0, out=h)
-            cache.append(h)
-        return h, cache
+            activations.append(h)
+        return activations
 
-    def sgd_step(self, cache, out_grad: np.ndarray, lr: float):
-        """Backward pass from d(loss)/d(output), in-place SGD update."""
+    def sgd_step(self, activations, out_grad: np.ndarray, lr):
+        """The predictor's backward pass from d(loss)/d(its output), with an
+        in-place SGD update of its slice; the target's stays as it is."""
         grad = out_grad
         for k in range(len(self.weights) - 1, -1, -1):
-            inp = cache[k]
+            inp = activations[0] if k == 0 else activations[k][PREDICTOR]
             gw = inp.T @ grad
             gb = grad.sum(axis=0)
             if k > 0:
-                grad = grad @ self.weights[k].T
+                grad = grad @ self.weights[k][PREDICTOR].T
                 grad *= inp > 0.0
             gw *= lr
-            self.weights[k] -= gw
+            self.weights[k][PREDICTOR] -= gw
             gb *= lr
-            self.biases[k] -= gb
+            self.biases[k][PREDICTOR] -= gb
 
-    def parameter_bytes(self) -> bytes:
-        return b"".join(a.tobytes() for a in self.weights + self.biases)
+    def parameter_bytes(self, net: int) -> bytes:
+        """The weights and biases of one slice (TARGET or PREDICTOR)."""
+        return b"".join(a[net].tobytes() for a in self.weights + self.biases)
 
 
 class RunningNormalizer:
-    """Per-dimension running mean/variance with output clamped to [-1, 1]."""
+    """Per-dimension running mean/variance with output clamped to [-1, 1].
+
+    The statistics are float32, like the embeddings they normalize: a
+    float64 mean would make every normalized batch, and with it every
+    matmul of the networks, float64.
+    """
 
     def __init__(self, dim: int, clamp: float = OBS_CLAMP, eps: float = 1e-8):
         self.dim = dim
-        self.clamp = clamp
-        self.eps = eps
+        self.clamp = np.float32(clamp)
+        self.eps = np.float32(eps)
         self.count = 0
-        self._mean = np.zeros(dim)
-        self._m2 = np.zeros(dim)
+        self._mean = np.zeros(dim, dtype=np.float32)
+        self._m2 = np.zeros(dim, dtype=np.float32)
         self._scale = None  # max(std, eps), cached until the next update
 
     def update(self, x: np.ndarray):
@@ -218,10 +239,7 @@ class RndModel:
         output_gain: float = 1.0,
         seed: int = 0,
     ):
-        sizes = (DEFAULT_EMBED_DIM, *HIDDEN_SIZES)
-        # distinct streams so target and predictor never share weights
-        self.target = Mlp(sizes, np.random.default_rng((seed, 1)))
-        self.predictor = Mlp(sizes, np.random.default_rng((seed, 2)))
+        self.networks = NetworkPair((DEFAULT_EMBED_DIM, *HIDDEN_SIZES), seed)
         self.normalizer = RunningNormalizer(DEFAULT_EMBED_DIM)
         self.embedding = HashEmbedding()
         self.buffer = StateBuffer(self.embedding)
@@ -238,7 +256,8 @@ class RndModel:
 
     def novelty_reward(self, text: str) -> float:
         z = self.normalizer.normalize(self.embedding.embed(text))
-        diff = self.output_gain * (self.predictor.forward(z) - self.target.forward(z))
+        out = self.networks.forward(z)[-1]
+        diff = self.output_gain * (out[PREDICTOR] - out[TARGET])
         return self.intrinsic_reward_weight * float((diff * diff).sum())
 
     def train_predictor(self):
@@ -250,10 +269,8 @@ class RndModel:
         for _ in range(TRAIN_STEPS):
             batch_size = min(TRAIN_BATCH_SIZE, len(self.buffer))
             rows, weights = self.buffer.sample_weighted(batch_size, self._rng)
-            z = self.normalizer.normalize(rows)
-            t = self.target.forward(z)
-            p, cache = self.predictor.forward_cached(z)
-            grad = p - t  # 2 * (p - t) * weights, in place
-            grad *= 2.0
-            grad *= weights[:, None]
-            self.predictor.sgd_step(cache, grad, LEARNING_RATE)
+            activations = self.networks.forward(self.normalizer.normalize(rows))
+            out = activations[-1]
+            grad = out[PREDICTOR] - out[TARGET]  # 2 * (p - t) * weights, in place
+            grad *= (2.0 * weights).astype(np.float32)[:, None]
+            self.networks.sgd_step(activations, grad, LEARNING_RATE)

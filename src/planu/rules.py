@@ -6,6 +6,7 @@ error message and the check it reports on can never drift apart.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -14,8 +15,13 @@ def is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def is_num(x) -> bool:
-    return is_int(x) or isinstance(x, float)
+def is_finite_num(x) -> bool:
+    """An int or float that converts to a finite float: not ±inf or NaN,
+    nor an int too large for a float."""
+    try:
+        return (is_int(x) or isinstance(x, float)) and math.isfinite(x)
+    except OverflowError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -30,11 +36,11 @@ def at_least(lo: int) -> Rule:
 
 def real(lo: float, hi: float | None = None, lo_open: bool = False) -> Rule:
     def check(x):
-        return is_num(x) and (x > lo if lo_open else x >= lo) and (hi is None or x <= hi)
+        return is_finite_num(x) and (x > lo if lo_open else x >= lo) and (hi is None or x <= hi)
 
     if hi is None:
-        return Rule(check, f"real {'>' if lo_open else '>='} {lo:g}")
-    return Rule(check, f"real in {'(' if lo_open else '['}{lo:g}, {hi:g}]")
+        return Rule(check, f"finite real {'>' if lo_open else '>='} {lo:g}")
+    return Rule(check, f"finite real in {'(' if lo_open else '['}{lo:g}, {hi:g}]")
 
 
 def one_of(options) -> Rule:

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from planu.cli import main
-from planu.config import DEFAULTS, parse_text_config, validate_config
+from planu.config import DEFAULTS, SCHEMA, parse_text_config, validate_config
 from planu.errors import ConfigError
 
 
@@ -187,3 +187,25 @@ class TestValidateConfig:
         assert cfg["rnd_output_gain"] == 25
         with pytest.raises(ConfigError):
             validate_config(write(tmp_path, "env = stock\nrnd_output_gain = 0\n"))
+
+    def test_non_finite_reals_rejected(self, tmp_path, capsys):
+        # both parsers read these three spellings as floats: inf, -inf, inf
+        real_keys = [key for key, rule in SCHEMA.items() if rule.check(0.5)]
+        assert set(real_keys) == {
+            "c1", "gamma", "qr_step", "qr_step_decay", "kappa", "intrinsic_reward_weight",
+            "rnd_output_gain", "failure_rate", "chop_failure_rate",
+        }
+        for key in real_keys:
+            for spelling in ("Infinity", "-Infinity", "1e999"):
+                text = write(tmp_path, f"env = blocksworld\n{key} = {spelling}\n")
+                as_json = write(tmp_path, f'{{"env": "blocksworld", "{key}": {spelling}}}', "c.json")
+                for path, where in ((text, "line 2: "), (as_json, "")):
+                    with pytest.raises(ConfigError) as err:
+                        validate_config(path)
+                    [diag] = err.value.diagnostics
+                    assert diag.startswith(f"{where}key {key!r}: expected ")
+                    assert main(["validate", "--config", path]) == 2
+                    assert capsys.readouterr().out == ""
+        with pytest.raises(ConfigError) as err:
+            validate_config(write(tmp_path, "env = stock\nc1 = 1e999\n"))
+        assert err.value.diagnostics == ["line 2: key 'c1': expected finite real >= 0, got inf"]

@@ -5,14 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from planu import planner
+from planu.envs import generate_instance
 from planu.novelty import (
+    PREDICTOR,
+    TARGET,
     HashEmbedding,
-    Mlp,
+    NetworkPair,
     RndModel,
     RunningNormalizer,
     StateBuffer,
     hash_embed,
 )
+
+
+def embed32(text):
+    """hash_embed, the float64 reference, as the float32 row the model stores."""
+    return hash_embed(text).astype(np.float32)
 
 
 class TestHashEmbed:
@@ -34,7 +43,7 @@ class TestHashEmbed:
     def test_provider_memoizes_one_row_per_text(self):
         provider = HashEmbedding()
         assert provider.row("s") == provider.row("s") == 0
-        assert provider.embed("s").tobytes() == hash_embed("s").tobytes()
+        assert provider.embed("s").tobytes() == embed32("s").tobytes()
         # grow the table well past its first 64 rows; earlier rows stay intact
         texts = [f"state-{i}" for i in range(200)]
         rows = [provider.row(t) for t in texts]
@@ -42,59 +51,66 @@ class TestHashEmbed:
         assert len(provider.table) >= 201
         assert provider.row("s") == 0
         for t in ["s", *texts]:
-            assert provider.embed(t).tobytes() == hash_embed(t).tobytes()
+            assert provider.embed(t).tobytes() == embed32(t).tobytes()
 
 
 class TestMlp:
+    """The target and predictor MLPs, stacked in one NetworkPair."""
+
     def test_output_shape(self):
-        net = Mlp((8, 4, 3), np.random.default_rng(0))
-        out = net.forward(np.zeros(8))
-        assert out.shape == (1, 3)
-        out = net.forward(np.zeros((5, 8)))
-        assert out.shape == (5, 3)
+        net = NetworkPair((8, 4, 3), seed=0)
+        out = net.forward(np.zeros(8, dtype=np.float32))[-1]
+        assert out.shape == (2, 1, 3)
+        out = net.forward(np.zeros((5, 8), dtype=np.float32))[-1]
+        assert out.shape == (2, 5, 3)
 
     def test_distinct_seeds_distinct_weights(self):
-        a = Mlp((8, 4), np.random.default_rng(0))
-        b = Mlp((8, 4), np.random.default_rng(1))
-        assert a.parameter_bytes() != b.parameter_bytes()
+        a = NetworkPair((8, 4), seed=0)
+        b = NetworkPair((8, 4), seed=1)
+        assert a.parameter_bytes(PREDICTOR) != b.parameter_bytes(PREDICTOR)
+        assert a.parameter_bytes(TARGET) != a.parameter_bytes(PREDICTOR)
 
     def test_sgd_step_reduces_regression_loss(self):
         rng = np.random.default_rng(0)
-        net = Mlp((4, 8, 2), rng)
-        x = rng.normal(size=(16, 4))
-        y = rng.normal(size=(16, 2))
+        net = NetworkPair((4, 8, 2), seed=0)
+        x = rng.normal(size=(16, 4)).astype(np.float32)
+        y = rng.normal(size=(16, 2)).astype(np.float32)
 
         def loss():
-            d = net.forward(x) - y
+            d = net.forward(x)[-1][PREDICTOR] - y
             return float((d * d).sum(axis=1).mean())
 
         before = loss()
         for _ in range(200):
-            p, cache = net.forward_cached(x)
-            net.sgd_step(cache, 2.0 * (p - y) / len(x), lr=0.01)
+            activations = net.forward(x)
+            net.sgd_step(activations, 2.0 * (activations[-1][PREDICTOR] - y) / len(x), lr=0.01)
         assert loss() < before
 
     def test_gradient_matches_finite_differences(self):
+        # the backward pass is dtype-generic: check it on float64 copies of
+        # the weights, where finite differences are accurate
         rng = np.random.default_rng(3)
-        net = Mlp((3, 5, 2), rng)
+        net = NetworkPair((3, 5, 2), seed=3)
+        net.weights = [w.astype(np.float64) for w in net.weights]
+        net.biases = [b.astype(np.float64) for b in net.biases]
         x = rng.normal(size=(4, 3))
         y = rng.normal(size=(4, 2))
-        p, cache = net.forward_cached(x)
+        activations = net.forward(x)
         # capture analytic parameter gradients via a unit-lr step delta
         w_before = [w.copy() for w in net.weights]
         b_before = [b.copy() for b in net.biases]
-        net.sgd_step(cache, 2.0 * (p - y), lr=1.0)
+        net.sgd_step(activations, 2.0 * (activations[-1][PREDICTOR] - y), lr=1.0)
         analytic_w = [wb - w for wb, w in zip(w_before, net.weights)]
         net.weights = [w.copy() for w in w_before]
         net.biases = [b.copy() for b in b_before]
 
         def loss():
-            d = net.forward(x) - y
+            d = net.forward(x)[-1][PREDICTOR] - y
             return float((d * d).sum())
 
         eps = 1e-6
         for k in range(len(net.weights)):
-            for idx in [(0, 0), (1, 1)]:
+            for idx in [(PREDICTOR, 0, 0), (PREDICTOR, 1, 1)]:
                 net.weights[k][idx] += eps
                 up = loss()
                 net.weights[k][idx] -= 2 * eps
@@ -102,6 +118,24 @@ class TestMlp:
                 net.weights[k][idx] += eps
                 fd = (up - down) / (2 * eps)
                 assert analytic_w[k][idx] == pytest.approx(fd, rel=1e-4, abs=1e-6)
+            assert not analytic_w[k][TARGET].any()
+
+    @pytest.mark.parametrize("rows", [None, 1, 7])
+    def test_stacked_forward_equals_per_slice_forwards(self, rows):
+        net = NetworkPair((384, 64, 64, 128), seed=5)
+        shape = (384,) if rows is None else (rows, 384)
+        x = np.random.default_rng(rows or 0).uniform(-1.0, 1.0, size=shape).astype(np.float32)
+        out = net.forward(x)[-1]
+        for i in (TARGET, PREDICTOR):
+            h = x if x.ndim == 2 else x[None, :]
+            for k, (w, b) in enumerate(zip(net.weights, net.biases)):
+                h = h @ w[i] + b[i]
+                if k < len(net.weights) - 1:
+                    h = np.maximum(h, 0.0)
+            assert out[i].dtype == h.dtype == np.float32
+            # float32 rounding, summed over up to 384 products
+            tol = 100 * np.finfo(np.float32).eps
+            np.testing.assert_allclose(out[i], h, rtol=tol, atol=tol)
 
 
 class TestRunningNormalizer:
@@ -144,6 +178,7 @@ class TestRunningNormalizer:
         def check():
             # the cached scale must equal the formula on the current statistics
             for x in (rng.normal(scale=3.0, size=3), rng.normal(scale=3.0, size=(batch, 3))):
+                x = x.astype(np.float32)
                 before = x.copy()
                 if norm.count < 2:
                     expect = np.clip(x - norm._mean, -norm.clamp, norm.clamp)
@@ -156,7 +191,7 @@ class TestRunningNormalizer:
 
         check()
         for u in updates:
-            norm.update(np.array(u))
+            norm.update(np.array(u, dtype=np.float32))
             check()
             check()
 
@@ -180,7 +215,7 @@ class DequeBuffer:
         for i in idx:
             text = self._entries[i]
             counts[text] = counts.get(text, 0) + 1
-        rows = np.stack([hash_embed(text) for text in counts])
+        rows = np.stack([embed32(text) for text in counts])
         weights = np.array(list(counts.values()), dtype=np.float64)
         return rows, weights / batch_size
 
@@ -203,7 +238,7 @@ def new_buffer(capacity=10_000):
 
 def texts_of(rows):
     """The texts of "0".."9" whose embeddings are the given rows."""
-    by_bytes = {hash_embed(str(i)).tobytes(): str(i) for i in range(10)}
+    by_bytes = {embed32(str(i)).tobytes(): str(i) for i in range(10)}
     return [by_bytes[r.tobytes()] for r in rows]
 
 
@@ -266,7 +301,8 @@ class TestStateBuffer:
                 m.observe(text)
                 if i % 2:
                     m.train_predictor()
-        assert model.predictor.parameter_bytes() == ref_model.predictor.parameter_bytes()
+        assert (model.networks.parameter_bytes(PREDICTOR)
+                == ref_model.networks.parameter_bytes(PREDICTOR))
 
     def test_bad_capacity_raises(self):
         with pytest.raises(ValueError):
@@ -301,7 +337,8 @@ class TestRndModel:
 
     def test_target_and_predictor_differ(self):
         model = RndModel(seed=0)
-        assert model.target.parameter_bytes() != model.predictor.parameter_bytes()
+        nets = model.networks
+        assert nets.parameter_bytes(TARGET) != nets.parameter_bytes(PREDICTOR)
 
     def test_observe_updates_normalizer_and_buffer(self):
         model = RndModel()
@@ -309,7 +346,7 @@ class TestRndModel:
             model.observe(text)
         assert model.normalizer.count == len(model.buffer) == 3
         rows, _ = model.buffer.sample_weighted(64, np.random.default_rng(0))
-        assert {r.tobytes() for r in rows} == {hash_embed(t).tobytes() for t in "ab"}
+        assert {r.tobytes() for r in rows} == {embed32(t).tobytes() for t in "ab"}
 
     def test_training_reduces_novelty_on_seen_states(self):
         model = RndModel(seed=1)
@@ -340,7 +377,37 @@ class TestRndModel:
 
     def test_training_does_not_change_target(self):
         model = RndModel(seed=3)
-        model.observe("s")
-        frozen = model.target.parameter_bytes()
+        for text in ("s", "t", "s"):
+            model.observe(text)
+        frozen = model.networks.parameter_bytes(TARGET)
+        trained = model.networks.parameter_bytes(PREDICTOR)
         model.train_predictor()
-        assert model.target.parameter_bytes() == frozen
+        assert model.networks.parameter_bytes(TARGET) == frozen
+        assert model.networks.parameter_bytes(PREDICTOR) != trained
+
+    def test_search_keeps_every_array_float32(self, monkeypatch):
+        # one float64 array (say the normalizer's mean) would upcast every
+        # matmul downstream of it
+        models = []
+
+        class RecordedRndModel(RndModel):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                models.append(self)
+
+        monkeypatch.setattr(planner, "RndModel", RecordedRndModel)
+        env = generate_instance(4, 4, failure_rate=0.2, seed=1_000)
+        planner.run_search(env, None, planner.PlannerConfig(iterations=20, variant="full"))
+        [model] = models
+        norm = model.normalizer
+        arrays = {
+            "embedding table": model.embedding.table,
+            "normalizer mean": norm._mean,
+            "normalizer m2": norm._m2,
+            "normalized rows": norm.normalize(model.embedding.table[:3]),
+            "normalized row": norm.normalize(model.embedding.table[0]),
+        }
+        for k, (w, b) in enumerate(zip(model.networks.weights, model.networks.biases)):
+            arrays[f"weights {k}"] = w
+            arrays[f"biases {k}"] = b
+        assert [(name, a.dtype) for name, a in arrays.items() if a.dtype != np.float32] == []

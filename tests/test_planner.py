@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from planu.envs import StockEnv, generate_instance
@@ -31,6 +33,12 @@ class TestPlannerConfig:
             {"qr_step_decay": 1.5},
             {"kappa": -1.0},
             {"variant": "bogus"},
+            {"c1": math.inf},
+            {"qr_step": math.inf},
+            {"kappa": math.inf},
+            {"intrinsic_reward_weight": math.inf},
+            {"rnd_output_gain": math.inf},
+            {"c1": 10**400},  # an int, but no float can hold it
         ],
     )
     def test_invalid_values_raise(self, kwargs):

@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-DIGEST_20 = "d61eae756f1ebcf182201b84e5e9a8d54afe6134287acd13d6eacd60444eaadd"
+DIGEST_20 = "54a8eb4c0c196b0e3cba12c4a516e83871e2560a32610bb1911fb225c1463332"
 
 
 def test_result_digest_unchanged():
