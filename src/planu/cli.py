@@ -37,7 +37,7 @@ from .planner import (
 )
 from .tree import snapshot
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 EVAL_EPISODES = 5
 EVAL_SEED_OFFSET = 10_000
 

@@ -36,7 +36,7 @@ _PATH = Rule(lambda x: isinstance(x, str) and x, "nonempty path")
 
 SCHEMA: dict[str, Rule] = {
     "env": one_of(ENVS),
-    "seeds": Rule(_nonempty_list(is_int), "nonempty list of integers"),
+    "seeds": Rule(_nonempty_list(at_least(0).check), "nonempty list of integers >= 0"),
     "variants": Rule(
         _nonempty_list(one_of(VARIANTS).check), f"nonempty list drawn from {tuple(VARIANTS)}"
     ),

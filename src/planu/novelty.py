@@ -18,7 +18,7 @@ HIDDEN_SIZES = (64, 64, 128)
 LEARNING_RATE = np.float32(1e-5)  # float32, like every array of the model
 TRAIN_BATCH_SIZE = 64
 TRAIN_STEPS = 5
-DEFAULT_INTRINSIC_WEIGHT = 0.01
+INTRINSIC_WEIGHT = 0.01  # scale of the novelty reward
 DEFAULT_EMBED_DIM = 384
 OBS_CLAMP = 1.0
 
@@ -233,12 +233,7 @@ class RndModel:
     of observed states that the predictor trains on.
     """
 
-    def __init__(
-        self,
-        intrinsic_reward_weight: float = DEFAULT_INTRINSIC_WEIGHT,
-        output_gain: float = 1.0,
-        seed: int = 0,
-    ):
+    def __init__(self, output_gain: float = 1.0, seed: int = 0):
         self.networks = NetworkPair((DEFAULT_EMBED_DIM, *HIDDEN_SIZES), seed)
         self.normalizer = RunningNormalizer(DEFAULT_EMBED_DIM)
         self.embedding = HashEmbedding()
@@ -246,7 +241,6 @@ class RndModel:
         # feature scale applied to the output difference when scoring;
         # multiplies novelty by gain^2 without touching training dynamics
         self.output_gain = output_gain
-        self.intrinsic_reward_weight = intrinsic_reward_weight
         self._rng = np.random.default_rng((seed, 3))
 
     def observe(self, text: str):
@@ -258,7 +252,7 @@ class RndModel:
         z = self.normalizer.normalize(self.embedding.embed(text))
         out = self.networks.forward(z)[-1]
         diff = self.output_gain * (out[PREDICTOR] - out[TARGET])
-        return self.intrinsic_reward_weight * float((diff * diff).sum())
+        return INTRINSIC_WEIGHT * float((diff * diff).sum())
 
     def train_predictor(self):
         """SGD steps moving the predictor toward the frozen target.

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import SearchError
-from .novelty import DEFAULT_INTRINSIC_WEIGHT, RndModel
-from .rules import ODD, Rule, at_least, one_of, real
+from .novelty import RndModel
+from .rules import Rule, at_least, one_of, real
 from .tree import PathStep, Tree, backpropagate, recommend, select_action
 from .envs.wrappers import DeterministicizedEnv
 
@@ -41,6 +41,14 @@ VARIANTS = {
     "deterministic_baseline": VariantBehavior(False, "curiosity", True),
 }
 
+# Search constants. No config or workload sets another value; the quantile
+# count, the step's decay and the baseline's sample count are the defaults
+# of Tree, backpropagate and DeterministicizedEnv.
+C1 = 0.25  # weight of the exploration bonus in select_action
+GAMMA = 0.95  # discount of the backup targets
+QR_STEP = 2.0  # quantile-regression step of a node's first backup
+KAPPA = 0.05  # Huber threshold of the quantile loss
+
 
 def _param(default, rule: Rule, key: bool = True, env_default: bool = False):
     """A checked planner parameter.
@@ -55,19 +63,10 @@ def _param(default, rule: Rule, key: bool = True, env_default: bool = False):
 class PlannerConfig:
     iterations: int = _param(200, at_least(1))
     depth_limit: int = _param(10, at_least(1))
-    n_q: int = _param(51, at_least(1))
-    c1: float = _param(0.25, real(0.0))
-    gamma: float = _param(0.95, real(0.0, 1.0, lo_open=True))
-    qr_step: float = _param(2.0, real(0.0, lo_open=True))
-    qr_step_decay: float = _param(0.75, real(0.0, 1.0, lo_open=True))
-    kappa: float = _param(0.05, real(0.0, lo_open=True))
     variant: str = _param("full", one_of(VARIANTS), key=False)
     seed: int = 0
     # curiosity model
-    intrinsic_reward_weight: float = _param(DEFAULT_INTRINSIC_WEIGHT, real(0.0))
     rnd_output_gain: float = _param(10.0, real(0.0, lo_open=True), env_default=True)
-    # baseline wrapper
-    deterministicize_k: int = _param(5, ODD)
 
     def __post_init__(self):
         bad = [
@@ -128,17 +127,17 @@ def run_search(env, policy, cfg: PlannerConfig) -> SearchResult:
     """
     behavior = VARIANTS[cfg.variant]
     if behavior.wrap_env:
-        env = DeterministicizedEnv(env, cfg.deterministicize_k)
+        env = DeterministicizedEnv(env)
     if policy is None:
         policy = UniformPolicy(env)
 
     root_text = env.reset(cfg.seed)
     rnd = None
     if behavior.use_novelty:
-        rnd = RndModel(cfg.intrinsic_reward_weight, cfg.rnd_output_gain, cfg.seed)
+        rnd = RndModel(cfg.rnd_output_gain, cfg.seed)
         rnd.observe(root_text)
 
-    tree = Tree(root_text, n_q=cfg.n_q, distributional=behavior.distributional)
+    tree = Tree(root_text, distributional=behavior.distributional)
     start = time.perf_counter()
     traces: list[IterationTrace] = []
     for i in range(cfg.iterations):
@@ -153,7 +152,7 @@ def run_search(env, policy, cfg: PlannerConfig) -> SearchResult:
                     tree.expand(node, policy.propose(text))
                 r_i = rnd.novelty_reward(text) if rnd is not None else 0.0
                 novelty_values.append(r_i)
-                a = select_action(node, r_i, cfg.c1, behavior.exploration)
+                a = select_action(node, r_i, C1, behavior.exploration)
                 next_text, reward, done = env.step(text, a.action_text)
                 child = tree.attach_outcome(a, next_text, node.depth + 1, done)
                 path.append(PathStep(node, a, reward, child))
@@ -163,7 +162,7 @@ def run_search(env, policy, cfg: PlannerConfig) -> SearchResult:
             if rnd is not None:
                 rnd.train_predictor()
             if path:
-                backpropagate(path, cfg.gamma, cfg.qr_step, cfg.kappa, cfg.qr_step_decay)
+                backpropagate(path, GAMMA, QR_STEP, KAPPA)
         except SearchError:
             raise
         except Exception as exc:

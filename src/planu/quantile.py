@@ -41,10 +41,10 @@ class QuantileDistribution:
         if arr.ndim != 1 or arr.shape[0] < 1:
             raise ValueError("quantile values must be a nonempty 1-d array")
         mean = float(arr.sum()) / arr.shape[0]
-        # a finite mean implies finite values; a sum that overflows is
-        # checked element by element, so only NaN and inf values are rejected
-        if not math.isfinite(mean) and not np.isfinite(arr).all():
-            raise ValueError("quantile values must be finite")
+        # a finite sum implies finite values; finite values whose sum
+        # overflows are rejected with NaN and inf
+        if not math.isfinite(mean):
+            raise ValueError("quantile values must be finite, and so must their sum")
         self.values = arr
         self.mean = mean
 
@@ -69,12 +69,7 @@ def init_from_prior(prior: float, n_q: int) -> QuantileDistribution:
     return QuantileDistribution(np.full(n_q, float(prior)))
 
 
-def qr_update(
-    d: QuantileDistribution,
-    targets,
-    step: float = 0.5,
-    kappa: float = 0.05,
-) -> QuantileDistribution:
+def qr_update(d: QuantileDistribution, targets, step: float, kappa: float) -> QuantileDistribution:
     """One gradient-descent step on the quantile-Huber loss.
 
     Each quantile value is clamped to the hull of its old value and the

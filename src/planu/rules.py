@@ -46,6 +46,3 @@ def real(lo: float, hi: float | None = None, lo_open: bool = False) -> Rule:
 def one_of(options) -> Rule:
     options = tuple(options)
     return Rule(lambda x: x in options, f"one of {options}")
-
-
-ODD = Rule(lambda x: is_int(x) and x >= 1 and x % 2 == 1, "positive odd integer")

@@ -8,7 +8,15 @@ from unittest import mock
 import pytest
 
 import planu
-from planu.cli import build_env, enumerate_runs, execute_run, main, planner_config, run_sweep
+from planu.cli import (
+    SCHEMA_VERSION,
+    build_env,
+    enumerate_runs,
+    execute_run,
+    main,
+    planner_config,
+    run_sweep,
+)
 from planu.config import DEFAULTS, validate_config
 from planu.envs import ENVS, BlocksworldEnv, OvercookedLiteEnv, StockEnv
 from planu.planner import VARIANTS
@@ -157,7 +165,8 @@ class TestRunSweep:
         with open(os.path.join(out, "stock-full-s0.trace.jsonl"), encoding="utf-8") as fh:
             lines = [json.loads(ln) for ln in fh]
         header, iterations = lines[0], lines[1:]
-        assert header["schema_version"] == 1
+        assert header["schema_version"] == SCHEMA_VERSION
+        assert all(it["schema_version"] == SCHEMA_VERSION for it in iterations)
         assert header["run_id"] == "stock-full-s0"
         assert "root_means" in header and "config" in header
         assert len(iterations) == 30

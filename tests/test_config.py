@@ -1,10 +1,17 @@
 import json
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from planu.cli import main
+from planu.cli import enumerate_runs, execute_run, main
 from planu.config import DEFAULTS, SCHEMA, parse_text_config, validate_config
-from planu.errors import ConfigError
+from planu.envs import ENVS
+from planu.envs.blocksworld import MAX_BLOCKS
+from planu.envs.overcooked import RECIPES
+from planu.errors import ConfigError, PlanuError
+from planu.planner import VARIANTS
 
 
 INSTANCE = "blocks: a b\ninit: ontable(a) ontable(b) clear(a) clear(b) handempty\ngoal: on(a,b)\n"
@@ -52,18 +59,23 @@ class TestValidateConfig:
         assert cfg["env"] == "stock"
 
     def test_unknown_key_fails_closed(self, tmp_path):
-        # a config that still sets the deleted psi_operator key fails loudly too
-        for key, value in (("turbo", "true"), ("psi_operator", "median")):
+        # a config that still sets a deleted key fails loudly too: psi_operator,
+        # or one of the search constants that were planner parameters
+        deleted = [("psi_operator", "median"), ("n_q", "51"), ("c1", "0.25"), ("gamma", "0.95"),
+                   ("qr_step", "2.0"), ("qr_step_decay", "0.75"), ("kappa", "0.05"),
+                   ("intrinsic_reward_weight", "0.01"), ("deterministicize_k", "5"),
+                   ("deterministicize_k", "4")]
+        for key, value in [("turbo", "true"), *deleted]:
             with pytest.raises(ConfigError) as err:
                 validate_config(write(tmp_path, f"env = stock\n{key} = {value}\n"))
             assert f"line 2: unknown key {key!r}" in err.value.diagnostics
 
     def test_bad_values_aggregated_with_line_numbers(self, tmp_path):
-        path = write(tmp_path, "env = mars\ngamma = 2.0\nn_q = 0\n")
+        path = write(tmp_path, "env = mars\ndepth_limit = 0\niterations = 1.5\n")
         with pytest.raises(ConfigError) as err:
             validate_config(path)
-        diags = "\n".join(err.value.diagnostics)
-        assert "line 1" in diags and "line 2" in diags and "line 3" in diags
+        diags = err.value.diagnostics
+        assert [d.split(": key ")[0] for d in diags] == ["line 1", "line 2", "line 3"]
 
     def test_overrides_win_over_file(self, tmp_path):
         path = write(tmp_path, "env = stock\nseeds = 0\n")
@@ -176,9 +188,14 @@ class TestValidateConfig:
             f"config file {str(latin1)!r} is not UTF-8 text: byte 12: invalid continuation byte"
         ]
 
-    def test_deterministicize_k_must_be_odd(self, tmp_path):
-        with pytest.raises(ConfigError):
-            validate_config(write(tmp_path, "env = stock\ndeterministicize_k = 4\n"))
+    def test_negative_seed_rejected(self, tmp_path):
+        # numpy seeds no generator from a negative integer
+        with pytest.raises(ConfigError) as err:
+            validate_config(write(tmp_path, "env = stock\nseeds = 0, -1\n"))
+        assert err.value.diagnostics == [
+            "line 2: key 'seeds': expected nonempty list of integers >= 0, got [0, -1]"
+        ]
+        assert main(["run", "--config", write(tmp_path, "env = stock\n"), "--seed", "-1"]) == 2
 
     def test_rnd_output_gain_accepts_null_and_positive(self, tmp_path):
         cfg = validate_config(write(tmp_path, "env = stock\n"))
@@ -191,10 +208,7 @@ class TestValidateConfig:
     def test_non_finite_reals_rejected(self, tmp_path, capsys):
         # both parsers read these three spellings as floats: inf, -inf, inf
         real_keys = [key for key, rule in SCHEMA.items() if rule.check(0.5)]
-        assert set(real_keys) == {
-            "c1", "gamma", "qr_step", "qr_step_decay", "kappa", "intrinsic_reward_weight",
-            "rnd_output_gain", "failure_rate", "chop_failure_rate",
-        }
+        assert set(real_keys) == {"rnd_output_gain", "failure_rate", "chop_failure_rate"}
         for key in real_keys:
             for spelling in ("Infinity", "-Infinity", "1e999"):
                 text = write(tmp_path, f"env = blocksworld\n{key} = {spelling}\n")
@@ -207,5 +221,77 @@ class TestValidateConfig:
                     assert main(["validate", "--config", path]) == 2
                     assert capsys.readouterr().out == ""
         with pytest.raises(ConfigError) as err:
-            validate_config(write(tmp_path, "env = stock\nc1 = 1e999\n"))
-        assert err.value.diagnostics == ["line 2: key 'c1': expected finite real >= 0, got inf"]
+            validate_config(write(tmp_path, "env = stock\nchop_failure_rate = 1e999\n"))
+        assert err.value.diagnostics == [
+            "line 2: key 'chop_failure_rate': expected finite real in [0, 1], got inf"
+        ]
+
+
+ANY_RATE = st.one_of(st.sampled_from([0, 1]), st.floats(0.0, 1.0))
+# a state digest, as tree.StateKey prints it
+DIGEST = re.compile(r"\b[0-9a-f]{16}\b")
+
+
+@st.composite
+def accepted_configs(draw, env, variant, instance_file):
+    """A config drawn key by key from what each SCHEMA rule accepts, edges
+    included. The unbounded integers iterations, depth_limit, n_steps and
+    instances are capped small, so that every env x variant stays quick;
+    variants is the one variant under test."""
+    cfg = {
+        "env": env,
+        "variants": [variant],
+        "iterations": draw(st.integers(1, 6)),
+        "depth_limit": draw(st.integers(1, 6)),
+        "n_steps": draw(st.sampled_from([2, 4, 6])),
+        "instances": draw(st.integers(1, 2)),
+    }
+    optional = {
+        "seeds": st.lists(st.integers(0, 2**64), min_size=1, max_size=2, unique=True),
+        "rnd_output_gain": st.one_of(
+            st.none(),
+            st.floats(0.0, exclude_min=True, allow_infinity=False),
+            st.integers(1, 10**300),
+        ),
+        "failure_rate": st.one_of(
+            ANY_RATE, st.lists(ANY_RATE, min_size=1, max_size=2, unique_by="{:g}".format)
+        ),
+        "n_blocks": st.integers(3, MAX_BLOCKS),
+        "instance_file": st.just(instance_file),
+        "recipe": st.sampled_from(sorted(RECIPES)),
+        "chop_failure_rate": ANY_RATE,
+        "parallelism": st.integers(0, 8),
+        "out_dir": st.just("runs"),
+    }
+    assert set(cfg) | set(optional) == set(SCHEMA)
+    for key, values in optional.items():
+        if draw(st.booleans()):
+            cfg[key] = draw(values)
+    if "instance_file" in cfg:
+        cfg["instances"] = 1  # the file fixes the one instance
+    return cfg
+
+
+# a gain near the float limit overflows the float32 novelty; the search then
+# stops with "non-finite novelty" and the state's digest
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+@pytest.mark.parametrize("env", sorted(ENVS))
+def test_every_accepted_config_runs_or_fails_loudly(env, variant, tmp_path_factory):
+    """ROADMAP item 4: each run of a config that validation accepts finishes,
+    or raises a PlanuError that names a state digest or a config key."""
+    workdir = tmp_path_factory.mktemp("accepted")
+    instance_file = write(workdir, INSTANCE, "inst.txt")
+
+    @settings(max_examples=25, deadline=None)
+    @given(raw=accepted_configs(env, variant, instance_file))
+    def check(raw):
+        cfg = validate_config(write(workdir, json.dumps(raw), "c.json"))
+        for spec in enumerate_runs(cfg):
+            try:
+                execute_run(spec)
+            except PlanuError as exc:
+                message = str(exc)
+                assert DIGEST.search(message) or any(repr(k) in message for k in SCHEMA), message
+
+    check()

@@ -366,11 +366,6 @@ class TestRndModel:
         hi.observe("state")
         assert hi.novelty_reward("state") == pytest.approx(100.0 * lo.novelty_reward("state"))
 
-    def test_intrinsic_weight_scales_novelty_linearly(self):
-        a = RndModel(seed=2, intrinsic_reward_weight=0.01)
-        b = RndModel(seed=2, intrinsic_reward_weight=0.02)
-        assert b.novelty_reward("state") == pytest.approx(2.0 * a.novelty_reward("state"))
-
     def test_train_on_empty_buffer_raises(self):
         with pytest.raises(ValueError):
             RndModel().train_predictor()

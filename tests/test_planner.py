@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import pytest
 
@@ -17,28 +18,31 @@ class TestPlannerConfig:
     def test_defaults_valid(self):
         cfg = PlannerConfig()
         assert cfg.iterations == 200
-        assert cfg.n_q == 51
+        # the settings that a run varies; the search constants live in the module
+        assert [f.name for f in fields(cfg)] == [
+            "iterations", "depth_limit", "variant", "seed", "rnd_output_gain"
+        ]
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"iterations": 0},
+            {"iterations": -1},
+            {"iterations": 1.5},
+            {"iterations": True},
+            {"iterations": "200"},
             {"depth_limit": 0},
-            {"n_q": 0},
-            {"c1": -0.1},
-            {"gamma": 0.0},
-            {"gamma": 1.5},
-            {"qr_step": 0.0},
-            {"qr_step_decay": 0.0},
-            {"qr_step_decay": 1.5},
-            {"kappa": -1.0},
+            {"depth_limit": 2.0},
+            {"depth_limit": None},
             {"variant": "bogus"},
-            {"c1": math.inf},
-            {"qr_step": math.inf},
-            {"kappa": math.inf},
-            {"intrinsic_reward_weight": math.inf},
+            {"variant": "FULL"},
+            {"variant": None},
+            {"rnd_output_gain": 0.0},
+            {"rnd_output_gain": -1.0},
+            {"rnd_output_gain": math.nan},
             {"rnd_output_gain": math.inf},
-            {"c1": 10**400},  # an int, but no float can hold it
+            {"rnd_output_gain": None},
+            {"rnd_output_gain": 10**400},  # an int, but no float can hold it
         ],
     )
     def test_invalid_values_raise(self, kwargs):
@@ -47,8 +51,8 @@ class TestPlannerConfig:
 
     def test_invalid_combination_reports_all_problems(self):
         with pytest.raises(ValueError) as err:
-            PlannerConfig(iterations=0, gamma=2.0)
-        assert "iterations" in str(err.value) and "gamma" in str(err.value)
+            PlannerConfig(iterations=0, rnd_output_gain=0.0)
+        assert "iterations" in str(err.value) and "rnd_output_gain" in str(err.value)
 
 
 class TestApplyVariant:
@@ -118,8 +122,8 @@ class TestRunSearch:
         assert all(a.z is None for a in result.tree.root.actions)
 
     def test_full_variant_uses_quantile_nodes(self):
-        result = run_search(StockEnv(), None, PlannerConfig(iterations=20, n_q=7))
-        assert all(a.z is not None and a.z.n_q == 7 for a in result.tree.root.actions)
+        result = run_search(StockEnv(), None, PlannerConfig(iterations=20))
+        assert all(a.z is not None and a.z.n_q == 51 for a in result.tree.root.actions)
 
     def test_node_reprs_stay_small(self):
         # a node's repr leaves out its subtree: children and actions

@@ -45,10 +45,11 @@ def test_distribution_rejects_non_finite():
         QuantileDistribution(np.array([]))
 
 
-def test_distribution_accepts_finite_values_whose_sum_overflows():
-    with np.errstate(over="ignore"):
-        d = QuantileDistribution(np.array([1e308, 1e308]))
-        assert d.mean == float(d.values.mean()) == np.inf
+def test_distribution_rejects_finite_values_whose_sum_overflows():
+    # the sum overflows to inf, or to NaN from inf - inf
+    for values in ([1e308, 1e308], [-1e308, -1e308, 1e308, 1e308, 1e308]):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="sum"):
+            QuantileDistribution(np.array(values))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -61,10 +62,17 @@ def test_distribution_rejects_one_non_finite_value(bad, n):
 
 
 def mean_bytes_equal(values):
+    """The cached mean has the bits of values.mean(); where the sum is not
+    finite, the distribution is rejected instead."""
+    arr = np.array(values)
     # a sum may overflow to inf, or to NaN from inf - inf
     with np.errstate(over="ignore", invalid="ignore"):
-        d = QuantileDistribution(np.array(values))
-        expected = d.values.mean()
+        expected = arr.mean()
+        if not np.isfinite(expected):
+            with pytest.raises(ValueError, match="sum"):
+                QuantileDistribution(arr)
+            return True
+    d = QuantileDistribution(arr)
     return np.float64(d.mean).tobytes() == np.float64(expected).tobytes()
 
 
@@ -113,9 +121,9 @@ def test_qr_update_fixed_point():
 def test_qr_update_rejects_bad_args():
     d = init_from_prior(0.5, 3)
     with pytest.raises(ValueError):
-        qr_update(d, [], step=0.5)
+        qr_update(d, [], step=0.5, kappa=0.05)
     with pytest.raises(ValueError):
-        qr_update(d, [1.0], step=0.0)
+        qr_update(d, [1.0], step=0.0, kappa=0.05)
     with pytest.raises(ValueError):
         qr_update(d, [1.0], step=0.5, kappa=-1.0)
 
@@ -123,7 +131,7 @@ def test_qr_update_rejects_bad_args():
 def test_qr_update_does_not_mutate_input():
     d = init_from_prior(0.5, 5)
     before = d.values.copy()
-    qr_update(d, [1.0], step=0.5)
+    qr_update(d, [1.0], step=0.5, kappa=0.05)
     np.testing.assert_array_equal(d.values, before)
 
 
