@@ -272,14 +272,14 @@ def accepted_configs(draw, env, variant, instance_file):
     return cfg
 
 
-# a gain near the float limit overflows the float32 novelty; the search then
+# a gain above about 1e19 overflows the float32 novelty; the search then
 # stops with "non-finite novelty" and the state's digest
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
 @pytest.mark.parametrize("env", sorted(ENVS))
 def test_every_accepted_config_runs_or_fails_loudly(env, variant, tmp_path_factory):
-    """ROADMAP item 4: each run of a config that validation accepts finishes,
-    or raises a PlanuError that names a state digest or a config key."""
+    """Each run of a config that validation accepts finishes, or raises a
+    PlanuError that names a state digest or a config key."""
     workdir = tmp_path_factory.mktemp("accepted")
     instance_file = write(workdir, INSTANCE, "inst.txt")
 
