@@ -63,12 +63,18 @@ class TestValidateConfig:
         # or one of the search constants that were planner parameters
         deleted = [("psi_operator", "median"), ("n_q", "51"), ("c1", "0.25"), ("gamma", "0.95"),
                    ("qr_step", "2.0"), ("qr_step_decay", "0.75"), ("kappa", "0.05"),
-                   ("intrinsic_reward_weight", "0.01"), ("deterministicize_k", "5"),
-                   ("deterministicize_k", "4")]
+                   ("intrinsic_reward_weight", "0.01"), ("deterministicize_k", "5")]
         for key, value in [("turbo", "true"), *deleted]:
             with pytest.raises(ConfigError) as err:
                 validate_config(write(tmp_path, f"env = stock\n{key} = {value}\n"))
             assert f"line 2: unknown key {key!r}" in err.value.diagnostics
+
+    def test_deterministicize_k_must_be_odd(self, tmp_path):
+        # k is fixed at the odd DeterministicizedEnv default; an even k in a config
+        # is refused as a key that no longer exists
+        with pytest.raises(ConfigError) as err:
+            validate_config(write(tmp_path, "env = stock\ndeterministicize_k = 4\n"))
+        assert "line 2: unknown key 'deterministicize_k'" in err.value.diagnostics
 
     def test_bad_values_aggregated_with_line_numbers(self, tmp_path):
         path = write(tmp_path, "env = mars\ndepth_limit = 0\niterations = 1.5\n")
