@@ -123,16 +123,19 @@ class NetworkPair:
         in-place SGD update of its slice; the target's stays as it is."""
         grad = out_grad
         for k in range(len(self.weights) - 1, -1, -1):
+            # views of the predictor's slice: `self.weights[k][PREDICTOR] -= gw`
+            # would also copy the updated slice back onto itself
+            w, b = self.weights[k][PREDICTOR], self.biases[k][PREDICTOR]
             inp = activations[0] if k == 0 else activations[k][PREDICTOR]
             gw = inp.T @ grad
-            gb = grad.sum(axis=0)
+            gb = np.add.reduce(grad, axis=0)  # grad.sum(axis=0), without its wrapper
             if k > 0:
-                grad = grad @ self.weights[k][PREDICTOR].T
+                grad = grad @ w.T
                 grad *= inp > 0.0
             gw *= lr
-            self.weights[k][PREDICTOR] -= gw
+            w -= gw
             gb *= lr
-            self.biases[k][PREDICTOR] -= gb
+            b -= gb
 
     def parameter_bytes(self, net: int) -> bytes:
         """The weights and biases of one slice (TARGET or PREDICTOR)."""
@@ -180,8 +183,8 @@ class StateBuffer:
     The FIFO is a ring of row ids into the embedding's table, so a state
     visited many times is stored once and sampled by its row.
 
-    sample_weighted returns its unique rows in the order of their first
-    occurrence in the draw. That order is part of the result: the
+    sample_weighted gives each batch its unique rows in the order of their
+    first occurrence in that batch. That order is part of the result: the
     predictor's gradient sums over rows, and summing floats in another
     order changes the trained weights, and with them every later search
     decision.
@@ -208,22 +211,41 @@ class StateBuffer:
     def __len__(self) -> int:
         return self._len
 
-    def sample_weighted(self, batch_size: int, rng: np.random.Generator):
-        """Uniform sample collapsed to unique rows with sampling weights.
+    def sample_weighted(self, size: int, rng: np.random.Generator, batches: int = 1):
+        """One uniform draw of `size` entries, split into `batches` equal
+        consecutive batches, each collapsed to its unique rows with sampling
+        weights.
 
-        Equivalent to drawing batch_size entries for any loss that is a
-        weighted mean over rows, but much cheaper when the buffer holds
-        many repeats (states revisited across iterations share one row).
+        Returns the unique rows of the whole draw, in the order of their
+        first occurrence, and a list of one (index, weights) pair per batch:
+        `rows[index]` are the batch's unique rows in the order of their
+        first occurrence in the batch, `weights` their counts over the
+        batch size. A weighted mean over them equals the mean over the
+        batch's entries, and costs much less when the buffer holds many
+        repeats (states revisited across iterations share one row).
+
+        One draw of k * b entries gives the same entries as k draws of b,
+        since a bounded draw consumes the stream the same way whatever its
+        size; train_predictor draws once per call.
         """
         if not self._len:
             raise ValueError("buffer is empty")
+        if size % batches:
+            raise ValueError("size must be a multiple of batches")
         # the same draws as rng.integers(0, len), offset to ring slots: a
         # bounded draw depends only on the width of its range
-        slots = rng.integers(self._start, self._start + self._len, size=batch_size)
-        # Counter keys keep first-occurrence order
-        counts = Counter(self._ring.take(slots, mode="wrap").tolist())
-        weights = np.array([n / batch_size for n in counts.values()])
-        return self.embedding.table.take(list(counts), axis=0), weights
+        slots = rng.integers(self._start, self._start + self._len, size=size)
+        ids = self._ring.take(slots, mode="wrap").tolist()
+        # dict and Counter keys keep first-occurrence order
+        position = {row: i for i, row in enumerate(dict.fromkeys(ids))}
+        batch_size = size // batches
+        out = []
+        for lo in range(0, size, batch_size):
+            counts = Counter(ids[lo : lo + batch_size])
+            index = [position[row] for row in counts]
+            weights = np.array([n / batch_size for n in counts.values()])
+            out.append((index, weights))
+        return self.embedding.table.take(list(position), axis=0), out
 
 
 class RndModel:
@@ -257,13 +279,19 @@ class RndModel:
     def train_predictor(self):
         """SGD steps moving the predictor toward the frozen target.
 
-        Each step trains on a weighted batch from the buffer; the loss is
-        the squared error summed over output dims, averaged over the batch.
+        One draw from the buffer gives every step its weighted batch; the
+        loss is the squared error summed over output dims, averaged over
+        the batch. The normalizer does not change while training and works
+        element by element, so the call's unique rows are normalized once;
+        each step takes its rows from them in the order of their first
+        occurrence in its batch, the order the gradient sums them in.
         """
-        for _ in range(TRAIN_STEPS):
-            batch_size = min(TRAIN_BATCH_SIZE, len(self.buffer))
-            rows, weights = self.buffer.sample_weighted(batch_size, self._rng)
-            activations = self.networks.forward(self.normalizer.normalize(rows))
+        batch_size = min(TRAIN_BATCH_SIZE, len(self.buffer))
+        rows, batches = self.buffer.sample_weighted(
+            TRAIN_STEPS * batch_size, self._rng, TRAIN_STEPS)
+        z = self.normalizer.normalize(rows)
+        for index, weights in batches:
+            activations = self.networks.forward(z.take(index, axis=0))
             out = activations[-1]
             grad = out[PREDICTOR] - out[TARGET]  # 2 * (p - t) * weights, in place
             grad *= (2.0 * weights).astype(np.float32)[:, None]

@@ -66,7 +66,9 @@ class PlannerConfig:
     variant: str = _param("full", one_of(VARIANTS), key=False)
     seed: int = 0
     # curiosity model
-    rnd_output_gain: float = _param(10.0, real(0.0, lo_open=True), env_default=True)
+    # at most 10^4 times the largest env default: from about 1e19 up the
+    # float32 novelty overflows, and 1e6 keeps it near 1e11
+    rnd_output_gain: float = _param(10.0, real(0.0, 1e6, lo_open=True), env_default=True)
 
     def __post_init__(self):
         bad = [

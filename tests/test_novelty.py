@@ -1,15 +1,18 @@
-from collections import deque
+from collections import Counter, deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from planu import planner
 from planu.envs import generate_instance
 from planu.novelty import (
+    LEARNING_RATE,
     PREDICTOR,
     TARGET,
+    TRAIN_BATCH_SIZE,
+    TRAIN_STEPS,
     HashEmbedding,
     NetworkPair,
     RndModel,
@@ -209,23 +212,63 @@ class DequeBuffer:
     def __len__(self):
         return len(self._entries)
 
-    def sample_weighted(self, batch_size, rng):
-        idx = rng.integers(0, len(self._entries), size=batch_size)
-        counts = {}
-        for i in idx:
-            text = self._entries[i]
-            counts[text] = counts.get(text, 0) + 1
+    def sample_weighted(self, size, rng, batches=1):
+        idx = rng.integers(0, len(self._entries), size=size)
+        texts = [self._entries[i] for i in idx]
+        unique = list(dict.fromkeys(texts))
+        batch_size = size // batches
+        out = []
+        for lo in range(0, size, batch_size):
+            counts = {}
+            for text in texts[lo : lo + batch_size]:
+                counts[text] = counts.get(text, 0) + 1
+            weights = np.array(list(counts.values()), dtype=np.float64)
+            out.append(([unique.index(text) for text in counts], weights / batch_size))
+        return np.stack([embed32(text) for text in unique]), out
+
+
+def reference_sgd_step(networks, activations, out_grad, lr):
+    """NetworkPair.sgd_step as first written: bias gradients by .sum, and
+    each update through the indexed slice."""
+    grad = out_grad
+    for k in range(len(networks.weights) - 1, -1, -1):
+        inp = activations[0] if k == 0 else activations[k][PREDICTOR]
+        gw = inp.T @ grad
+        gb = grad.sum(axis=0)
+        if k > 0:
+            grad = grad @ networks.weights[k][PREDICTOR].T
+            grad *= inp > 0.0
+        gw *= lr
+        networks.weights[k][PREDICTOR] -= gw
+        gb *= lr
+        networks.biases[k][PREDICTOR] -= gb
+
+
+def reference_train(model):
+    """RndModel.train_predictor with one draw per step, over a model whose
+    buffer is a DequeBuffer: each step draws its batch, dedupes it by text
+    in first-occurrence order, normalizes its rows and runs the stacked
+    forward and the reference backward pass."""
+    entries = model.buffer._entries
+    for _ in range(TRAIN_STEPS):
+        batch_size = min(TRAIN_BATCH_SIZE, len(entries))
+        idx = model._rng.integers(0, len(entries), size=batch_size)
+        counts = Counter(entries[i] for i in idx)
         rows = np.stack([embed32(text) for text in counts])
-        weights = np.array(list(counts.values()), dtype=np.float64)
-        return rows, weights / batch_size
+        weights = np.array([n / batch_size for n in counts.values()])
+        activations = model.networks.forward(model.normalizer.normalize(rows))
+        out = activations[-1]
+        grad = out[PREDICTOR] - out[TARGET]
+        grad *= (2.0 * weights).astype(np.float32)[:, None]
+        reference_sgd_step(model.networks, activations, grad, LEARNING_RATE)
 
 
 # a run of buffer operations: ("add", index into a pool of shared texts,
-# or -1 for a fresh text) or ("sample", batch size)
+# or -1 for a fresh text) or ("sample", (batch size, number of batches))
 BUFFER_OPS = st.lists(
     st.one_of(
         st.tuples(st.just("add"), st.integers(-1, 5)),
-        st.tuples(st.just("sample"), st.integers(1, 40)),
+        st.tuples(st.just("sample"), st.tuples(st.integers(1, 40), st.integers(1, 5))),
     ),
     min_size=1,
     max_size=60,
@@ -255,6 +298,30 @@ class TestStateBuffer:
         with pytest.raises(ValueError):
             new_buffer().sample_weighted(1, np.random.default_rng(0))
 
+    def test_size_must_split_into_equal_batches(self):
+        buf = new_buffer()
+        buf.add("0")
+        with pytest.raises(ValueError):
+            buf.sample_weighted(10, np.random.default_rng(0), 3)
+
+    # a bounded draw consumes the stream the same way whatever its size, so
+    # one draw of k * b ids equals k draws of b, and leaves the stream where
+    # they leave it; an odd b makes odd counts of 32-bit draws
+    @settings(max_examples=300, deadline=None)
+    @given(lo=st.integers(0, 10_000), width=st.integers(1, 10_000),
+           b=st.integers(1, 64), k=st.integers(1, 6), seed=st.integers(0, 2**32))
+    @example(lo=0, width=1, b=64, k=5, seed=0)
+    @example(lo=9_999, width=10_000, b=1, k=5, seed=1)
+    @example(lo=3, width=2, b=63, k=5, seed=2)
+    @example(lo=0, width=4_097, b=33, k=3, seed=3)
+    def test_one_draw_equals_consecutive_draws(self, lo, width, b, k, seed):
+        one = np.random.default_rng(seed)
+        drawn = one.integers(lo, lo + width, size=k * b)
+        each = np.random.default_rng(seed)
+        drawn_each = [each.integers(lo, lo + width, size=b) for _ in range(k)]
+        assert drawn.tobytes() == np.concatenate(drawn_each).tobytes()
+        assert one.integers(0, 2**40, size=3).tolist() == each.integers(0, 2**40, size=3).tolist()
+
     @staticmethod
     def assert_same_as_deque_buffer(ops, capacity, seed):
         pool = [f"shared-{k}" for k in range(6)]
@@ -267,10 +334,14 @@ class TestStateBuffer:
                 ref.add(text)
                 assert len(buf) == len(ref)
             elif len(ref):
-                rows, weights = buf.sample_weighted(arg, rng)
-                ref_rows, ref_weights = ref.sample_weighted(arg, ref_rng)
+                batch_size, batches = arg
+                rows, out = buf.sample_weighted(batch_size * batches, rng, batches)
+                ref_rows, ref_out = ref.sample_weighted(batch_size * batches, ref_rng, batches)
                 assert rows.tobytes() == ref_rows.tobytes()
-                assert weights.tobytes() == ref_weights.tobytes()
+                assert len(out) == len(ref_out) == batches
+                for (index, weights), (ref_index, ref_weights) in zip(out, ref_out):
+                    assert list(index) == ref_index
+                    assert weights.tobytes() == ref_weights.tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(ops=BUFFER_OPS, capacity=st.integers(1, 12), seed=st.integers(0, 2**16))
@@ -285,7 +356,7 @@ class TestStateBuffer:
         ops = []
         for _ in range(400):
             ops.append(("add", -1 if rng.random() < 0.6 else int(rng.integers(0, 6))))
-            ops.append(("sample", 64))
+            ops.append(("sample", (64, 5)))
         self.assert_same_as_deque_buffer(ops, capacity, seed=capacity)
 
     @settings(max_examples=20, deadline=None)
@@ -304,6 +375,49 @@ class TestStateBuffer:
         assert (model.networks.parameter_bytes(PREDICTOR)
                 == ref_model.networks.parameter_bytes(PREDICTOR))
 
+    # ("observe", index into a pool of shared texts, or -1 for a fresh
+    # text) or ("train", number of training calls)
+    TRAIN_OPS = st.lists(
+        st.one_of(
+            st.tuples(st.just("observe"), st.integers(-1, 7)),
+            st.tuples(st.just("train"), st.integers(1, 3)),
+        ),
+        min_size=1,
+        max_size=80,
+    )
+
+    @settings(max_examples=40, deadline=None)
+    @given(ops=TRAIN_OPS, capacity=st.one_of(st.integers(1, 16), st.just(10_000)),
+           seed=st.integers(0, 2**16))
+    # a buffer of one state: every step draws a single unique row
+    @example(ops=[("observe", 0), ("train", 3)], capacity=16, seed=0)
+    # a ring of one slot, wrapped on every observe
+    @example(ops=[("observe", -1), ("train", 1)] * 4, capacity=1, seed=1)
+    # one repeated state in a longer buffer, then more than 64 states
+    @example(ops=[("observe", 3)] * 5 + [("train", 2)] + [("observe", -1), ("train", 1)] * 70,
+             capacity=10_000, seed=2)
+    def test_training_bit_identical_to_reference_trainer(self, ops, capacity, seed):
+        """One draw and one normalization per call train the predictor to the
+        same bits as a draw, a dedupe and a normalization per step."""
+        model, ref_model = RndModel(seed=seed), RndModel(seed=seed)
+        model.buffer = StateBuffer(model.embedding, capacity)
+        ref_model.buffer = DequeBuffer(capacity)
+        texts = set()
+        for i, (op, arg) in enumerate(ops):
+            if op == "observe":
+                text = f"fresh-{i}" if arg < 0 else f"shared-{arg}"
+                texts.add(text)
+                model.observe(text)
+                ref_model.observe(text)
+            elif texts:
+                for _ in range(arg):
+                    model.train_predictor()
+                    reference_train(ref_model)
+                assert (model.networks.parameter_bytes(PREDICTOR)
+                        == ref_model.networks.parameter_bytes(PREDICTOR))
+        for text in sorted(texts) + ["never-observed"]:
+            assert model.novelty_reward(text) == ref_model.novelty_reward(text)
+
     def test_bad_capacity_raises(self):
         with pytest.raises(ValueError):
             new_buffer(capacity=0)
@@ -313,9 +427,11 @@ class TestStateBuffer:
         for _ in range(10):
             buf.add("0")
         buf.add("1")
-        rows, weights = buf.sample_weighted(64, np.random.default_rng(0))
-        assert weights.sum() == pytest.approx(1.0)
-        assert rows.shape[0] == weights.shape[0] <= 2
+        rows, batches = buf.sample_weighted(5 * 64, np.random.default_rng(0), 5)
+        assert rows.shape[0] <= 2
+        for index, weights in batches:
+            assert weights.sum() == pytest.approx(1.0)
+            assert len(index) == weights.shape[0] <= rows.shape[0]
 
     def test_sample_weighted_matches_sample_distribution(self):
         buf = new_buffer()
@@ -323,8 +439,8 @@ class TestStateBuffer:
         buf.add("1")
         buf.add("2")
         rng = np.random.default_rng(5)
-        rows, weights = buf.sample_weighted(3000, rng)
-        w = dict(zip(texts_of(rows), weights.tolist()))
+        rows, [(index, weights)] = buf.sample_weighted(3000, rng)
+        w = dict(zip(texts_of(rows[index]), weights.tolist()))
         assert w["1"] == pytest.approx(2 / 3, abs=0.05)
         assert w["2"] == pytest.approx(1 / 3, abs=0.05)
 
