@@ -17,7 +17,7 @@ import numpy as np
 HIDDEN_SIZES = (64, 64, 128)
 LEARNING_RATE = np.float32(1e-5)  # float32, like every array of the model
 TRAIN_BATCH_SIZE = 64
-TRAIN_STEPS = 5
+TRAIN_STEPS = 5  # batches whose gradients are summed into one SGD step per call
 INTRINSIC_WEIGHT = 0.01  # scale of the novelty reward
 DEFAULT_EMBED_DIM = 384
 OBS_CLAMP = 1.0
@@ -183,8 +183,8 @@ class StateBuffer:
     The FIFO is a ring of row ids into the embedding's table, so a state
     visited many times is stored once and sampled by its row.
 
-    sample_weighted gives each batch its unique rows in the order of their
-    first occurrence in that batch. That order is part of the result: the
+    sample_weighted gives a draw's unique rows in the order of their first
+    occurrence in the draw. That order is part of the result: the
     predictor's gradient sums over rows, and summing floats in another
     order changes the trained weights, and with them every later search
     decision.
@@ -211,41 +211,25 @@ class StateBuffer:
     def __len__(self) -> int:
         return self._len
 
-    def sample_weighted(self, size: int, rng: np.random.Generator, batches: int = 1):
-        """One uniform draw of `size` entries, split into `batches` equal
-        consecutive batches, each collapsed to its unique rows with sampling
-        weights.
+    def sample_weighted(self, size: int, rng: np.random.Generator):
+        """One uniform draw of `size` entries, collapsed to its unique rows
+        with sampling weights.
 
-        Returns the unique rows of the whole draw, in the order of their
-        first occurrence, and a list of one (index, weights) pair per batch:
-        `rows[index]` are the batch's unique rows in the order of their
-        first occurrence in the batch, `weights` their counts over the
-        batch size. A weighted mean over them equals the mean over the
-        batch's entries, and costs much less when the buffer holds many
-        repeats (states revisited across iterations share one row).
-
-        One draw of k * b entries gives the same entries as k draws of b,
-        since a bounded draw consumes the stream the same way whatever its
-        size; train_predictor draws once per call.
+        Returns the unique rows, in the order of their first occurrence in
+        the draw, and their counts over `size`. A weighted mean over them
+        equals the mean over the drawn entries, and costs much less when
+        the buffer holds many repeats (states revisited across iterations
+        share one row).
         """
         if not self._len:
             raise ValueError("buffer is empty")
-        if size % batches:
-            raise ValueError("size must be a multiple of batches")
         # the same draws as rng.integers(0, len), offset to ring slots: a
         # bounded draw depends only on the width of its range
         slots = rng.integers(self._start, self._start + self._len, size=size)
-        ids = self._ring.take(slots, mode="wrap").tolist()
-        # dict and Counter keys keep first-occurrence order
-        position = {row: i for i, row in enumerate(dict.fromkeys(ids))}
-        batch_size = size // batches
-        out = []
-        for lo in range(0, size, batch_size):
-            counts = Counter(ids[lo : lo + batch_size])
-            index = [position[row] for row in counts]
-            weights = np.array([n / batch_size for n in counts.values()])
-            out.append((index, weights))
-        return self.embedding.table.take(list(position), axis=0), out
+        # Counter keys keep the order of first occurrence
+        counts = Counter(self._ring.take(slots, mode="wrap").tolist())
+        rows = self.embedding.table.take(list(counts), axis=0)
+        return rows, np.array(list(counts.values())) / size
 
 
 class RndModel:
@@ -277,22 +261,19 @@ class RndModel:
         return INTRINSIC_WEIGHT * float((diff * diff).sum())
 
     def train_predictor(self):
-        """SGD steps moving the predictor toward the frozen target.
+        """One SGD step moving the predictor toward the frozen target.
 
-        One draw from the buffer gives every step its weighted batch; the
-        loss is the squared error summed over output dims, averaged over
-        the batch. The normalizer does not change while training and works
-        element by element, so the call's unique rows are normalized once;
-        each step takes its rows from them in the order of their first
-        occurrence in its batch, the order the gradient sums them in.
+        The loss is the squared error summed over output dims, averaged
+        over each of TRAIN_STEPS batches and summed over the batches. One
+        draw from the buffer gives all of the batches' entries, whose
+        unique rows take one forward pass and one backward pass. To first
+        order in the learning rate, the step equals TRAIN_STEPS steps, one
+        per batch.
         """
         batch_size = min(TRAIN_BATCH_SIZE, len(self.buffer))
-        rows, batches = self.buffer.sample_weighted(
-            TRAIN_STEPS * batch_size, self._rng, TRAIN_STEPS)
-        z = self.normalizer.normalize(rows)
-        for index, weights in batches:
-            activations = self.networks.forward(z.take(index, axis=0))
-            out = activations[-1]
-            grad = out[PREDICTOR] - out[TARGET]  # 2 * (p - t) * weights, in place
-            grad *= (2.0 * weights).astype(np.float32)[:, None]
-            self.networks.sgd_step(activations, grad, LEARNING_RATE)
+        rows, weights = self.buffer.sample_weighted(TRAIN_STEPS * batch_size, self._rng)
+        activations = self.networks.forward(self.normalizer.normalize(rows))
+        out = activations[-1]
+        grad = out[PREDICTOR] - out[TARGET]  # 2 * (p - t) * count / batch_size, in place
+        grad *= (2.0 * TRAIN_STEPS * weights).astype(np.float32)[:, None]
+        self.networks.sgd_step(activations, grad, LEARNING_RATE)

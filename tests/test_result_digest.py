@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-DIGEST_20 = "54a8eb4c0c196b0e3cba12c4a516e83871e2560a32610bb1911fb225c1463332"
+DIGEST_20 = "e2ffe144433db0f36ddc8b4238995b29baaccc471528bd59db82b3c301adbb87"
 
 
 def test_result_digest_unchanged():
