@@ -1,5 +1,7 @@
 """Quantile-regression kernels: the loss and its analytic gradient in numpy."""
 
+from functools import lru_cache
+
 import numpy as np
 
 
@@ -15,9 +17,33 @@ def qr_loss(values, taus, targets, kappa):
     return float((weight * huber / kappa).sum() / targets.shape[0])
 
 
+@lru_cache(maxsize=64)
+def _negated_weights(tau_bytes: bytes, dtype: np.dtype, m: int):
+    """The (n_q, m) tables of -|tau - 0| and -|tau - 1|: the negated
+    quantile weight of a cell whose residual is >= 0 and < 0."""
+    taus = np.frombuffer(tau_bytes, dtype)[:, None]
+    head = np.repeat(-np.abs(taus - 0.0), m, axis=1)
+    tail = np.repeat(-np.abs(taus - 1.0), m, axis=1)
+    head.flags.writeable = tail.flags.writeable = False
+    return head, tail
+
+
 def qr_gradient(values, taus, targets, kappa):
-    """Analytic d(loss)/d(values); same normalization as qr_loss."""
-    u = targets[None, :] - values[:, None]
-    weight = np.abs(taus[:, None] - (u < 0.0))
-    grad = -weight * np.clip(u, -kappa, kappa) / kappa
-    return grad.sum(axis=1) / targets.shape[0]
+    """Analytic d(loss)/d(values); same normalization as qr_loss.
+
+    Each cell is (-|tau - 1{u<0}|) * clip(u, -kappa, kappa) / kappa, summed
+    over targets and divided by their number, computed in place on one
+    (n_q, m) buffer.
+    """
+    m = targets.shape[0]
+    u = targets - values[:, None]
+    head, tail = _negated_weights(taus.tobytes(), taus.dtype, m)
+    grad = head.copy()
+    np.copyto(grad, tail, where=u < 0.0)
+    np.maximum(u, -kappa, out=u)
+    np.minimum(u, kappa, out=u)
+    grad *= u
+    grad /= kappa
+    out = np.add.reduce(grad, axis=1)
+    out /= m
+    return out

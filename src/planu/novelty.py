@@ -10,7 +10,6 @@ lose novelty over time.
 from __future__ import annotations
 
 import zlib
-from collections import Counter
 
 import numpy as np
 
@@ -226,10 +225,11 @@ class StateBuffer:
         # the same draws as rng.integers(0, len), offset to ring slots: a
         # bounded draw depends only on the width of its range
         slots = rng.integers(self._start, self._start + self._len, size=size)
-        # Counter keys keep the order of first occurrence
-        counts = Counter(self._ring.take(slots, mode="wrap").tolist())
-        rows = self.embedding.table.take(list(counts), axis=0)
-        return rows, np.array(list(counts.values())) / size
+        ids = self._ring.take(slots, mode="wrap")
+        # dict keys keep the order of first occurrence
+        unique = np.array(list(dict.fromkeys(ids.tolist())))
+        rows = self.embedding.table.take(unique, axis=0)
+        return rows, np.bincount(ids)[unique] / size
 
 
 class RndModel:

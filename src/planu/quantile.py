@@ -8,7 +8,7 @@ not re-sorted after updates; quantile crossing is allowed.
 from __future__ import annotations
 
 import math
-from functools import cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -29,9 +29,9 @@ def midpoints(n_q: int) -> np.ndarray:
 class QuantileDistribution:
     """An ordered set of n_q quantile values with uniform weights 1/n_q.
 
-    The values are never changed in place: an update builds a new
-    distribution, so the mean is computed once, at construction. It has
-    the same bits as values.mean().
+    The values are read-only: an update builds a new distribution, so one
+    distribution may be shared by many nodes, and the mean is computed
+    once, at construction. It has the same bits as values.mean().
     """
 
     __slots__ = ("values", "mean")
@@ -40,12 +40,14 @@ class QuantileDistribution:
         arr = np.asarray(values, dtype=np.float64)
         if arr.ndim != 1 or arr.shape[0] < 1:
             raise ValueError("quantile values must be a nonempty 1-d array")
-        mean = float(arr.sum()) / arr.shape[0]
+        mean = float(np.add.reduce(arr)) / arr.shape[0]
         # a finite sum implies finite values; finite values whose sum
         # overflows are rejected with NaN and inf
         if not math.isfinite(mean):
             raise ValueError("quantile values must be finite, and so must their sum")
-        self.values = arr
+        # a read-only view, so the caller's own array stays writeable
+        self.values = arr.view()
+        self.values.flags.writeable = False
         self.mean = mean
 
     def __repr__(self) -> str:
@@ -61,12 +63,23 @@ class QuantileDistribution:
 
 
 def init_from_prior(prior: float, n_q: int) -> QuantileDistribution:
-    """Distribution with every quantile value set to the action prior."""
+    """Distribution with every quantile value set to the action prior.
+
+    Every call with the same prior bits and n_q returns the same read-only
+    distribution.
+    """
     if not (0.0 <= prior <= 1.0):
         raise ValueError(f"prior must be in [0, 1], got {prior}")
     if n_q < 1:
         raise ValueError(f"n_q must be >= 1, got {n_q}")
-    return QuantileDistribution(np.full(n_q, float(prior)))
+    prior = float(prior)
+    # the sign keeps -0.0 and 0.0 apart, which compare and hash equal
+    return _prior_distribution(prior, math.copysign(1.0, prior), n_q)
+
+
+@lru_cache(maxsize=256)
+def _prior_distribution(prior: float, sign: float, n_q: int) -> QuantileDistribution:
+    return QuantileDistribution(np.full(n_q, prior))
 
 
 def qr_update(d: QuantileDistribution, targets, step: float, kappa: float) -> QuantileDistribution:
@@ -84,9 +97,11 @@ def qr_update(d: QuantileDistribution, targets, step: float, kappa: float) -> Qu
     if kappa <= 0.0:
         raise ValueError(f"kappa must be positive, got {kappa}")
     grad = kernels.qr_gradient(d.values, d.taus, arr, kappa)
-    lo = np.minimum(d.values, arr.min())
-    hi = np.maximum(d.values, arr.max())
-    # np.clip(values - step * grad, lo, hi), without np.clip's per-call overhead
-    out = d.values - step * grad
+    lo = np.minimum(d.values, np.minimum.reduce(arr))
+    hi = np.maximum(d.values, np.maximum.reduce(arr))
+    # np.clip(values - step * grad, lo, hi), in the gradient's buffer and
+    # without np.clip's per-call overhead
+    grad *= step
+    out = np.subtract(d.values, grad, out=grad)
     np.maximum(out, lo, out=out)
     return QuantileDistribution(np.minimum(out, hi, out=out))

@@ -181,8 +181,8 @@ def backpropagate(
             if t == len(path) - 1:
                 targets = np.array([ps.reward])
             else:
-                succ = path[t + 1].action
-                targets = ps.reward + gamma * succ.z.values
+                targets = gamma * path[t + 1].action.z.values
+                targets += ps.reward
             a.z = qr_update(a.z, targets, step=step / a.visits**decay, kappa=kappa)
         else:
             if t == len(path) - 1:

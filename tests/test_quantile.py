@@ -159,6 +159,108 @@ def test_qr_loss_nonnegative_and_zero_at_fit():
     assert kernels.qr_loss(values, taus, np.array([2.0, -1.0]), 0.05) > 0.0
 
 
+def reference_qr_gradient(values, taus, targets, kappa):
+    """qr_gradient as first written, with its temporaries: the formula the
+    in-place kernel must reproduce bit for bit."""
+    u = targets[None, :] - values[:, None]
+    weight = np.abs(taus[:, None] - (u < 0.0))
+    grad = -weight * np.clip(u, -kappa, kappa) / kappa
+    return grad.sum(axis=1) / targets.shape[0]
+
+
+def reference_qr_update(values, targets, step, kappa):
+    """qr_update's arithmetic as first written."""
+    grad = reference_qr_gradient(values, midpoints(values.shape[0]), targets, kappa)
+    lo = np.minimum(values, targets.min())
+    hi = np.maximum(values, targets.max())
+    out = values - step * grad
+    np.maximum(out, lo, out=out)
+    return np.minimum(out, hi, out=out)
+
+
+# dyadic values and kappas, so that v +- kappa is exact and a residual can
+# sit at exactly +-kappa; signed zeros; and arbitrary floats
+GRID = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.integers(-16, 16).map(lambda k: k / 8),
+    st.floats(-3, 3),
+)
+KAPPAS = st.one_of(st.sampled_from([0.05, 0.125, 0.25, 0.5, 1.0, 2.0]), st.floats(1e-3, 10))
+
+
+@st.composite
+def qr_cases(draw):
+    """(values, targets, kappa) whose cells include ties t == v, residuals
+    of exactly +-kappa, residuals inside and beyond +-kappa and signed zeros."""
+    values = draw(st.lists(GRID, min_size=1, max_size=64))
+    kappa = draw(KAPPAS)
+    target = st.one_of(
+        GRID,
+        st.sampled_from(values),
+        st.sampled_from(values).map(lambda v: v + kappa),
+        st.sampled_from(values).map(lambda v: v - kappa),
+        st.floats(-100, 100),
+    )
+    targets = draw(st.lists(target, min_size=1, max_size=64))
+    return np.array(values), np.array(targets), kappa
+
+
+@given(qr_cases(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_qr_gradient_bytes_equal_reference(case, data):
+    values, targets, kappa = case
+    taus = data.draw(st.one_of(
+        st.just(midpoints(values.shape[0])),
+        st.lists(
+            st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(0, 1)),
+            min_size=values.shape[0], max_size=values.shape[0],
+        ).map(np.array),
+    ))
+    before = (values.tobytes(), taus.tobytes(), targets.tobytes())
+    grad = kernels.qr_gradient(values, taus, targets, kappa)
+    assert grad.tobytes() == reference_qr_gradient(values, taus, targets, kappa).tobytes()
+    assert (values.tobytes(), taus.tobytes(), targets.tobytes()) == before
+
+
+@given(qr_cases(), st.one_of(st.sampled_from([0.5, 2.0]), st.floats(1e-3, 50)))
+@settings(max_examples=300, deadline=None)
+def test_qr_update_bytes_equal_reference(case, step):
+    values, targets, kappa = case
+    out = qr_update(QuantileDistribution(values), targets, step=step, kappa=kappa)
+    assert out.values.tobytes() == reference_qr_update(values, targets, step, kappa).tobytes()
+
+
+def test_distribution_values_are_read_only():
+    d = QuantileDistribution(np.array([0.1, 0.2]))
+    with pytest.raises(ValueError, match="read-only"):
+        d.values[0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        d.values += 1.0
+    np.testing.assert_array_equal(d.values, [0.1, 0.2])
+
+
+def test_distribution_leaves_the_callers_array_writeable():
+    arr = np.array([0.1, 0.2])
+    QuantileDistribution(arr)
+    arr[0] = 0.5
+    assert arr.flags.writeable
+
+
+def test_init_from_prior_is_shared_per_prior_and_n_q():
+    d = init_from_prior(0.25, 7)
+    assert init_from_prior(0.25, 7) is d
+    assert init_from_prior(0.25, 8) is not d
+    assert init_from_prior(0.5, 7) is not d
+
+
+@pytest.mark.parametrize("first, second", [(0.0, -0.0), (-0.0, 0.0)])
+def test_init_from_prior_keeps_the_sign_of_zero(first, second):
+    a, b = init_from_prior(first, 3), init_from_prior(second, 3)
+    assert a is not b
+    assert a.values.tobytes() == np.full(3, first).tobytes()
+    assert b.values.tobytes() == np.full(3, second).tobytes()
+
+
 @given(
     st.lists(st.floats(-5, 5), min_size=1, max_size=9),
     st.lists(st.floats(-5, 5), min_size=1, max_size=7),

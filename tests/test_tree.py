@@ -95,6 +95,16 @@ class TestExpand:
         with pytest.raises(SearchError):
             tree.expand(tree.root, [])
 
+    def test_nodes_with_the_same_prior_share_one_read_only_distribution(self):
+        tree = make_tree()
+        (a, b) = expand_root(tree)
+        mid = tree.attach_outcome(a, "mid", depth=1, terminal=False)
+        (c, d) = tree.expand(mid, [("go", 0.5), ("other", 0.25)])
+        assert a.z is b.z is c.z
+        assert d.z is not a.z
+        with pytest.raises(ValueError, match="read-only"):
+            a.z.values[0] = 1.0
+
     def test_scalar_mode_uses_prior_as_value(self):
         tree = Tree("root-state", distributional=False)
         nodes = expand_root(tree, [("a", 0.7)])
@@ -223,6 +233,16 @@ class TestBackpropagate:
         backpropagate(path, gamma=1.0, step=0.5, kappa=0.05)
         # root target set was {0 + 1 * theta'_j} = {1,...}: mean moves up
         assert root_a.z.values.mean() > before
+
+    def test_update_leaves_a_node_sharing_the_prior_unchanged(self):
+        tree = make_tree()
+        (a, b) = expand_root(tree)
+        shared = b.z
+        leaf = tree.attach_outcome(a, "end", depth=1, terminal=True)
+        backpropagate([PathStep(tree.root, a, 1.0, leaf)], gamma=0.95, step=0.5, kappa=0.05)
+        assert a.z is not shared
+        assert b.z is shared
+        assert b.z.values.tobytes() == np.full(5, 0.5).tobytes()
 
     def test_only_path_nodes_get_visit_increments(self):
         tree = make_tree()
