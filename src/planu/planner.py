@@ -148,7 +148,7 @@ def run_search(env, policy, cfg: PlannerConfig) -> SearchResult:
         path: list[PathStep] = []
         novelty_values: list[float] = []
         try:
-            while not node.is_terminal and node.depth < cfg.depth_limit:
+            while not node.is_terminal and len(path) < cfg.depth_limit:
                 text = node.key.canonical
                 if not node.is_expanded:
                     tree.expand(node, policy.propose(text))
@@ -156,7 +156,7 @@ def run_search(env, policy, cfg: PlannerConfig) -> SearchResult:
                 novelty_values.append(r_i)
                 a = select_action(node, r_i, C1, behavior.exploration)
                 next_text, reward, done = env.step(text, a.action_text)
-                child = tree.attach_outcome(a, next_text, node.depth + 1, done)
+                child = tree.attach_outcome(a, next_text, len(path) + 1, done)
                 path.append(PathStep(node, a, reward, child))
                 if rnd is not None:
                     rnd.observe(next_text)

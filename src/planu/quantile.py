@@ -31,13 +31,15 @@ class QuantileDistribution:
 
     The values are read-only: an update builds a new distribution, so one
     distribution may be shared by many nodes, and the mean is computed
-    once, at construction. It has the same bits as values.mean().
+    once, at construction. It has the same bits as values.mean(). The
+    values are copied, unless copy=False hands over a float64 array that
+    no one else holds.
     """
 
     __slots__ = ("values", "mean")
 
-    def __init__(self, values):
-        arr = np.asarray(values, dtype=np.float64)
+    def __init__(self, values, copy: bool = True):
+        arr = np.array(values, dtype=np.float64, copy=copy or None)
         if arr.ndim != 1 or arr.shape[0] < 1:
             raise ValueError("quantile values must be a nonempty 1-d array")
         mean = float(np.add.reduce(arr)) / arr.shape[0]
@@ -45,9 +47,8 @@ class QuantileDistribution:
         # overflows are rejected with NaN and inf
         if not math.isfinite(mean):
             raise ValueError("quantile values must be finite, and so must their sum")
-        # a read-only view, so the caller's own array stays writeable
-        self.values = arr.view()
-        self.values.flags.writeable = False
+        arr.flags.writeable = False
+        self.values = arr
         self.mean = mean
 
     def __repr__(self) -> str:
@@ -79,7 +80,7 @@ def init_from_prior(prior: float, n_q: int) -> QuantileDistribution:
 
 @lru_cache(maxsize=256)
 def _prior_distribution(prior: float, sign: float, n_q: int) -> QuantileDistribution:
-    return QuantileDistribution(np.full(n_q, prior))
+    return QuantileDistribution(np.full(n_q, prior), copy=False)
 
 
 def qr_update(d: QuantileDistribution, targets, step: float, kappa: float) -> QuantileDistribution:
@@ -104,4 +105,4 @@ def qr_update(d: QuantileDistribution, targets, step: float, kappa: float) -> Qu
     grad *= step
     out = np.subtract(d.values, grad, out=grad)
     np.maximum(out, lo, out=out)
-    return QuantileDistribution(np.minimum(out, hi, out=out))
+    return QuantileDistribution(np.minimum(out, hi, out=out), copy=False)

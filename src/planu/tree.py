@@ -1,10 +1,11 @@
-"""Search tree of alternating state and action nodes.
+"""Search graph of alternating state and action nodes.
 
 State nodes hold visit counts; action nodes hold a quantile return
 distribution (or a scalar running mean in the ablated form), a prior, a
 visit count, and one child state node per observed stochastic outcome.
-Selection maximizes the mean return plus a curiosity bonus; backups
-run quantile-regression updates along the traversed path.
+Below the root, one node stands for each state text. Selection maximizes
+the mean return plus a curiosity bonus; backups run quantile-regression
+updates along the traversed path.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ class ActionNode:
 
 @dataclass
 class StateNode:
-    """A state at a depth; terminal nodes never get action children."""
+    """A state and the depth it was first seen at; terminal ones get no actions."""
 
     key: StateKey
     depth: int
@@ -75,27 +76,22 @@ class PathStep:
 
 
 class Tree:
-    """Container indexing state nodes by (state text, depth).
+    """The root, then one state node per state text (a transposition table).
 
-    Re-encountering an outcome already represented at the same depth reuses
-    the existing node, so repeated stochastic samples accumulate statistics
-    instead of duplicating subtrees.
+    Any path that reaches a state again, such as a failed action that
+    leaves it unchanged, reuses its node and its statistics. The root is
+    kept apart, entered once per iteration; a later state with its text
+    is a shared node like any other.
     """
 
     def __init__(self, root_text: str, n_q: int = 51, distributional: bool = True):
         self.n_q = n_q
         self.distributional = distributional
-        self._index: dict[tuple[str, int], StateNode] = {}
-        self.root = self._register(root_text, depth=0, terminal=False)
-
-    def _register(self, text: str, depth: int, terminal: bool) -> StateNode:
-        node = self._index.get((text, depth))
-        if node is None:
-            node = self._index[(text, depth)] = StateNode(StateKey(text), depth, terminal)
-        return node
+        self.root = StateNode(StateKey(root_text), 0)
+        self._index: dict[str, StateNode] = {}
 
     def nodes(self) -> list[StateNode]:
-        return list(self._index.values())
+        return [self.root, *self._index.values()]
 
     def expand(self, s: StateNode, proposals: list[tuple[str, float]]) -> list[ActionNode]:
         """Create one action child per (action_text, prior) proposal."""
@@ -114,10 +110,13 @@ class Tree:
         return s.actions
 
     def attach_outcome(self, a: ActionNode, next_text: str, depth: int, terminal: bool) -> StateNode:
-        """Return the child for this outcome, creating it on first sight."""
+        """Return the outcome's node; depth and terminal count only on first sight."""
         child = a.children.get(next_text)
         if child is None:
-            child = a.children[next_text] = self._register(next_text, depth, terminal)
+            child = self._index.get(next_text)
+            if child is None:
+                child = self._index[next_text] = StateNode(StateKey(next_text), depth, terminal)
+            a.children[next_text] = child
         return child
 
 

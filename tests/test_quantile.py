@@ -246,6 +246,21 @@ def test_distribution_leaves_the_callers_array_writeable():
     assert arr.flags.writeable
 
 
+def test_distribution_copies_the_callers_array():
+    arr = np.array([0.1, 0.2])
+    d = QuantileDistribution(arr)
+    arr[0] = 5.0
+    np.testing.assert_array_equal(d.values, [0.1, 0.2])
+    assert d.mean == float(d.values.mean())
+
+
+def test_distribution_takes_a_handed_over_array_without_a_copy():
+    buf = np.array([0.1, 0.2])
+    d = QuantileDistribution(buf, copy=False)
+    assert d.values is buf
+    assert not buf.flags.writeable
+
+
 def test_init_from_prior_is_shared_per_prior_and_n_q():
     d = init_from_prior(0.25, 7)
     assert init_from_prior(0.25, 7) is d

@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-DIGEST_20 = "e2ffe144433db0f36ddc8b4238995b29baaccc471528bd59db82b3c301adbb87"
+DIGEST_20 = "226f0a46263e9b74afff664cc1e649b2f5f90f17da0a37e62fd27567b7ad30d9"
 
 
 def test_result_digest_unchanged():

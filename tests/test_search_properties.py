@@ -2,12 +2,14 @@
 
 Each example builds a run the way the CLI does and searches it twice from
 fresh environments, then checks the tree both searches left: visit
-counts, value bounds, cached means, expansions, the recommendation,
-determinism, and that the UCT variant never builds a curiosity model.
+counts, one node per state text, depths, value bounds, cached means,
+expansions, the recommendation, determinism, and that the UCT variant
+never builds a curiosity model.
 """
 
 import dataclasses
 import json
+from collections import deque
 from unittest import mock
 
 import numpy as np
@@ -36,6 +38,20 @@ def return_bounds(env_name: str, depth_limit: int) -> tuple[float, float]:
     r_min = WRONG_DELIVERY_PENALTY - STEP_PENALTY
     r_max = max(CHOP_REWARD, DELIVER_REWARD) - STEP_PENALTY
     return depth_limit * r_min, 1.0 + depth_limit * r_max
+
+
+def root_distances(tree) -> dict[int, int]:
+    """Fewest edges from the root to each state node it reaches, by id."""
+    dist = {id(tree.root): 0}
+    queue = deque([tree.root])
+    while queue:
+        s = queue.popleft()
+        for a in s.actions:
+            for child in a.children.values():
+                if id(child) not in dist:
+                    dist[id(child)] = dist[id(s)] + 1
+                    queue.append(child)
+    return dist
 
 
 class CountingRndModel(planner.RndModel):
@@ -67,9 +83,18 @@ def test_search_invariants(env_name, variant, seed, iterations, failure_rate):
 
     tree, env = result.tree, build_env(spec)
     lo, hi = return_bounds(env_name, cfg.depth_limit)
-    root_visits = tree.root.visits
-    assert root_visits == iterations
+    # the root is entered once per iteration and kept apart from later
+    # visits to its text; below it, one node stands for each state text
+    assert tree.root.visits == iterations
+    below = [s.key.canonical for s in tree.nodes() if s is not tree.root]
+    assert len(below) == len(set(below))
+    assert all(t.path_length <= cfg.depth_limit for t in result.traces)
+    # a node's depth is the length of the path it was first seen on, whose
+    # edges all stay in the graph: at least the node's distance from the root
+    dist = root_distances(tree)
+    assert len(dist) == len(tree.nodes())
     for s in tree.nodes():
+        assert dist[id(s)] <= s.depth <= cfg.depth_limit, s.key.canonical
         text, visits = s.key.canonical, s.visits
         assert visits == sum(a.visits for a in s.actions), text
         if s.actions:
@@ -81,10 +106,10 @@ def test_search_invariants(env_name, variant, seed, iterations, failure_rate):
             # the mean is cached per distribution: it must be that of the current values
             cached = a.mean_value()
             assert cached == float(values.mean()), (text, a.action_text)
-            # children are keyed by their own state text, one level down
+            # children are keyed by their own state text, and never the root
             for child_text, child in a.children.items():
                 assert child_text == child.key.canonical, (text, a.action_text)
-                assert child.depth == s.depth + 1, (text, a.action_text)
+                assert child is not tree.root, (text, a.action_text)
     root_legal = env.legal_actions(tree.root.key.canonical)
     assert result.recommended_action in root_legal
     first, second = (json.dumps(snapshot(r.tree), sort_keys=True) for r in (result, again))

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planu.errors import SearchError
-from planu.quantile import QuantileDistribution
+from planu.quantile import QuantileDistribution, qr_update
 from planu.tree import (
     PathStep,
     StateKey,
@@ -131,10 +131,12 @@ class TestAttachOutcome:
 
     def test_identity_transition_child_digest_matches_parent(self):
         tree = make_tree()
-        (a, _) = expand_root(tree)
+        (a, b) = expand_root(tree)
         child = tree.attach_outcome(a, "root-state", depth=1, terminal=False)
         assert child.key.digest == tree.root.key.digest
-        assert child is not tree.root  # different depth
+        assert child is not tree.root  # the root is kept apart
+        assert tree.attach_outcome(b, "root-state", depth=2, terminal=False) is child
+        assert tree.nodes() == [tree.root, child]
 
     def test_same_outcome_shared_across_actions_at_same_depth(self):
         tree = make_tree()
@@ -142,6 +144,18 @@ class TestAttachOutcome:
         c1 = tree.attach_outcome(a, "mid", depth=1, terminal=False)
         c2 = tree.attach_outcome(b, "mid", depth=1, terminal=False)
         assert c1 is c2
+
+    def test_same_outcome_shared_across_depths(self):
+        tree = make_tree()
+        (a, b) = expand_root(tree)
+        first = tree.attach_outcome(a, "x", depth=1, terminal=False)
+        mid = tree.attach_outcome(b, "mid", depth=1, terminal=False)
+        (m,) = tree.expand(mid, [("on", 1.0)])
+        again = tree.attach_outcome(m, "x", depth=2, terminal=False)
+        assert again is first
+        assert again.depth == 1  # the depth it was first seen at
+        assert m.children == {"x": first}
+        assert len(tree.nodes()) == 3
 
 
 class TestSelectAction:
@@ -243,6 +257,29 @@ class TestBackpropagate:
         assert a.z is not shared
         assert b.z is shared
         assert b.z.values.tobytes() == np.full(5, 0.5).tobytes()
+
+    def test_self_loop_updates_its_action_once_per_pass(self):
+        # a failed action leaves the state as it was: s -fail-> s -fail-> s -win-> end
+        tree = make_tree()
+        (a, _) = expand_root(tree)
+        s = tree.attach_outcome(a, "s", depth=1, terminal=False)
+        fail, win = tree.expand(s, [("fail", 0.5), ("win", 0.5)])
+        assert tree.attach_outcome(fail, "s", depth=2, terminal=False) is s
+        end = tree.attach_outcome(win, "end", depth=4, terminal=True)
+        path = [
+            PathStep(tree.root, a, 0.0, s),
+            PathStep(s, fail, 0.0, s),
+            PathStep(s, fail, 0.0, s),
+            PathStep(s, win, 1.0, end),
+        ]
+        prior = fail.z
+        backpropagate(path, gamma=0.95, step=0.5, kappa=0.05)
+        assert (tree.root.visits, s.visits) == (1, 3)
+        assert (a.visits, fail.visits, win.visits) == (1, 2, 1)
+        # backward from the end: the earlier pass targets what the later one wrote
+        once = qr_update(prior, 0.95 * win.z.values, step=0.5, kappa=0.05)
+        twice = qr_update(once, 0.95 * once.values, step=0.5 / 2**0.75, kappa=0.05)
+        assert fail.z.values.tobytes() == twice.values.tobytes()
 
     def test_only_path_nodes_get_visit_increments(self):
         tree = make_tree()
