@@ -18,14 +18,17 @@ def qr_loss(values, taus, targets, kappa):
 
 
 @lru_cache(maxsize=64)
-def _negated_weights(tau_bytes: bytes, dtype: np.dtype, m: int):
-    """The (n_q, m) tables of -|tau - 0| and -|tau - 1|: the negated
-    quantile weight of a cell whose residual is >= 0 and < 0."""
+def _tables(tau_bytes: bytes, dtype: np.dtype, m: int, kappa: float):
+    """The read-only (n_q, m) tables of -|tau - 0| and -|tau - 1| (the negated
+    quantile weight of a cell whose residual is >= 0 and < 0), -kappa and
+    +kappa: an array bound clips faster than a float, to the same bytes."""
     taus = np.frombuffer(tau_bytes, dtype)[:, None]
-    head = np.repeat(-np.abs(taus - 0.0), m, axis=1)
-    tail = np.repeat(-np.abs(taus - 1.0), m, axis=1)
-    head.flags.writeable = tail.flags.writeable = False
-    return head, tail
+    bound = np.full(taus.shape, kappa)
+    columns = (-np.abs(taus - 0.0), -np.abs(taus - 1.0), -bound, bound)
+    tables = tuple(np.repeat(column, m, axis=1) for column in columns)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def qr_gradient(values, taus, targets, kappa):
@@ -37,11 +40,11 @@ def qr_gradient(values, taus, targets, kappa):
     """
     m = targets.shape[0]
     u = targets - values[:, None]
-    head, tail = _negated_weights(taus.tobytes(), taus.dtype, m)
+    head, tail, lo, hi = _tables(taus.tobytes(), taus.dtype, m, kappa)
     grad = head.copy()
     np.copyto(grad, tail, where=u < 0.0)
-    np.maximum(u, -kappa, out=u)
-    np.minimum(u, kappa, out=u)
+    np.maximum(u, lo, out=u)
+    np.minimum(u, hi, out=u)
     grad *= u
     grad /= kappa
     out = np.add.reduce(grad, axis=1)

@@ -147,6 +147,10 @@ class RunningNormalizer:
     The statistics are float32, like the embeddings they normalize: a
     float64 mean would make every normalized batch, and with it every
     matmul of the networks, float64.
+
+    The scale max(std, eps) is recomputed in place by the first normalize
+    after an update. The search scores each state right after observing
+    it, so only an iteration's first score, after training, reuses it.
     """
 
     def __init__(self, dim: int, clamp: float = OBS_CLAMP, eps: float = 1e-8):
@@ -156,24 +160,29 @@ class RunningNormalizer:
         self.count = 0
         self._mean = np.zeros(dim, dtype=np.float32)
         self._m2 = np.zeros(dim, dtype=np.float32)
-        self._scale = None  # max(std, eps), cached until the next update
+        self._scale = np.empty(dim, dtype=np.float32)
+        self._scale_count = 0  # the count that _scale was computed at
+        self._lo = np.full(dim, -self.clamp)
+        self._hi = np.full(dim, self.clamp)
 
     def update(self, x: np.ndarray):
         self.count += 1
         delta = x - self._mean
         self._mean += delta / self.count
         self._m2 += delta * (x - self._mean)
-        self._scale = None
 
     def normalize(self, x: np.ndarray) -> np.ndarray:
         out = x - self._mean
         if self.count >= 2:
-            if self._scale is None:
-                self._scale = np.maximum(np.sqrt(self._m2 / self.count), self.eps)
+            if self._scale_count != self.count:
+                np.divide(self._m2, self.count, out=self._scale)
+                np.sqrt(self._scale, out=self._scale)
+                np.maximum(self._scale, self.eps, out=self._scale)
+                self._scale_count = self.count
             out /= self._scale
         # np.clip(out, -clamp, clamp) in place, without np.clip's per-call overhead
-        np.maximum(out, -self.clamp, out=out)
-        return np.minimum(out, self.clamp, out=out)
+        np.maximum(out, self._lo, out=out)
+        return np.minimum(out, self._hi, out=out)
 
 
 class StateBuffer:
@@ -258,7 +267,8 @@ class RndModel:
         z = self.normalizer.normalize(self.embedding.embed(text))
         out = self.networks.forward(z)[-1]
         diff = self.output_gain * (out[PREDICTOR] - out[TARGET])
-        return INTRINSIC_WEIGHT * float((diff * diff).sum())
+        diff *= diff
+        return INTRINSIC_WEIGHT * float(np.add.reduce(diff, axis=None))
 
     def train_predictor(self):
         """One SGD step moving the predictor toward the frozen target.

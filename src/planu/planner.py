@@ -97,7 +97,7 @@ class UniformPolicy:
         return [(a, 1.0 / len(actions)) for a in actions]
 
 
-@dataclass
+@dataclass(slots=True)
 class IterationTrace:
     index: int
     path_length: int

@@ -42,14 +42,7 @@ class QuantileDistribution:
         arr = np.array(values, dtype=np.float64, copy=copy or None)
         if arr.ndim != 1 or arr.shape[0] < 1:
             raise ValueError("quantile values must be a nonempty 1-d array")
-        mean = float(np.add.reduce(arr)) / arr.shape[0]
-        # a finite sum implies finite values; finite values whose sum
-        # overflows are rejected with NaN and inf
-        if not math.isfinite(mean):
-            raise ValueError("quantile values must be finite, and so must their sum")
-        arr.flags.writeable = False
-        self.values = arr
-        self.mean = mean
+        _fill(self, arr)
 
     def __repr__(self) -> str:
         return f"QuantileDistribution(values={self.values!r})"
@@ -58,9 +51,19 @@ class QuantileDistribution:
     def n_q(self) -> int:
         return self.values.shape[0]
 
-    @property
-    def taus(self) -> np.ndarray:
-        return midpoints(self.n_q)
+
+def _fill(d: QuantileDistribution, arr: np.ndarray) -> QuantileDistribution:
+    """Give d the values arr, a nonempty 1-d float64 array no one else
+    holds, made read-only, and their mean."""
+    mean = float(np.add.reduce(arr)) / arr.shape[0]
+    # a finite sum implies finite values; finite values whose sum
+    # overflows are rejected with NaN and inf
+    if not math.isfinite(mean):
+        raise ValueError("quantile values must be finite, and so must their sum")
+    arr.flags.writeable = False
+    d.values = arr
+    d.mean = mean
+    return d
 
 
 def init_from_prior(prior: float, n_q: int) -> QuantileDistribution:
@@ -97,12 +100,14 @@ def qr_update(d: QuantileDistribution, targets, step: float, kappa: float) -> Qu
         raise ValueError(f"step must be positive, got {step}")
     if kappa <= 0.0:
         raise ValueError(f"kappa must be positive, got {kappa}")
-    grad = kernels.qr_gradient(d.values, d.taus, arr, kappa)
-    lo = np.minimum(d.values, np.minimum.reduce(arr))
-    hi = np.maximum(d.values, np.maximum.reduce(arr))
+    values = d.values
+    grad = kernels.qr_gradient(values, midpoints(values.shape[0]), arr, kappa)
+    lo = np.minimum(values, np.minimum.reduce(arr))
+    hi = np.maximum(values, np.maximum.reduce(arr))
     # np.clip(values - step * grad, lo, hi), in the gradient's buffer and
     # without np.clip's per-call overhead
     grad *= step
-    out = np.subtract(d.values, grad, out=grad)
+    out = np.subtract(values, grad, out=grad)
     np.maximum(out, lo, out=out)
-    return QuantileDistribution(np.minimum(out, hi, out=out), copy=False)
+    # the gradient's own 1-d float64 buffer needs none of the constructor's checks
+    return _fill(object.__new__(QuantileDistribution), np.minimum(out, hi, out=out))

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,7 +33,7 @@ class StateKey:
         return hashlib.sha256(self.canonical.encode("utf-8")).hexdigest()[:16]
 
 
-@dataclass
+@dataclass(slots=True)
 class ActionNode:
     """A state-action pair: prior, return estimate, visits, outcome children."""
 
@@ -50,7 +51,7 @@ class ActionNode:
         return self.z.mean
 
 
-@dataclass
+@dataclass(slots=True)
 class StateNode:
     """A state and the depth it was first seen at; terminal ones get no actions."""
 
@@ -65,8 +66,7 @@ class StateNode:
         return bool(self.actions)
 
 
-@dataclass(frozen=True)
-class PathStep:
+class PathStep(NamedTuple):
     """One traversed (state, action, reward, next state) transition."""
 
     state: StateNode
@@ -171,24 +171,25 @@ def backpropagate(
     for t, ps in enumerate(path[:-1]):
         if ps.next_state is not path[t + 1].state:
             raise SearchError(f"path is not parent-linked at step {t}")
-    for t in range(len(path) - 1, -1, -1):
-        ps = path[t]
+    after = None  # the action node of the step after ps on the path
+    for ps in reversed(path):
         a = ps.action
         a.visits += 1
         ps.state.visits += 1
         if a.z is not None:
-            if t == len(path) - 1:
+            if after is None:
                 targets = np.array([ps.reward])
             else:
-                targets = gamma * path[t + 1].action.z.values
+                targets = gamma * after.z.values
                 targets += ps.reward
             a.z = qr_update(a.z, targets, step=step / a.visits**decay, kappa=kappa)
         else:
-            if t == len(path) - 1:
+            if after is None:
                 target = ps.reward
             else:
-                target = ps.reward + gamma * path[t + 1].action.mean_value()
+                target = ps.reward + gamma * after.mean_value()
             a.value += (target - a.value) / a.visits
+        after = a
 
 
 def recommend(root: StateNode) -> ActionNode:

@@ -228,6 +228,15 @@ def test_qr_update_bytes_equal_reference(case, step):
     values, targets, kappa = case
     out = qr_update(QuantileDistribution(values), targets, step=step, kappa=kappa)
     assert out.values.tobytes() == reference_qr_update(values, targets, step, kappa).tobytes()
+    assert np.float64(out.mean).tobytes() == out.values.mean().tobytes()
+    assert not out.values.flags.writeable
+
+
+def test_qr_update_rejects_a_result_whose_sum_overflows():
+    # each clamped value is finite, but their sum is not, as in the constructor
+    d = QuantileDistribution(np.array([1e308, 5e307]))
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="sum"):
+        qr_update(d, [1.7e308], step=1e308, kappa=0.05)
 
 
 def test_distribution_values_are_read_only():

@@ -20,3 +20,14 @@ def test_result_digest_unchanged():
         env=env, capture_output=True, text=True, check=True, timeout=120,
     )
     assert out.stdout.strip() == DIGEST_20
+
+
+def test_result_digest_expect_fails_on_a_mismatch():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "result_digest.py"), "--iterations", "1",
+         "--expect", "0" * 64],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 1
+    assert "0" * 64 in out.stdout

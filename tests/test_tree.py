@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planu.errors import SearchError
+from planu.planner import IterationTrace
 from planu.quantile import QuantileDistribution, qr_update
 from planu.tree import (
     PathStep,
@@ -347,3 +348,15 @@ class TestSnapshot:
         action = root_node["actions"][0]
         assert {"id", "kind", "action_text", "prior", "mean", "N", "children"} <= set(action)
 
+
+
+def test_nodes_and_traces_are_slotted():
+    tree = make_tree()
+    (a, _) = expand_root(tree)
+    leaf = tree.attach_outcome(a, "end", depth=1, terminal=True)
+    trace = IterationTrace(0, 1, True, 1.0, [], 0.0, "go")
+    for obj in (tree.root, leaf, a, trace):
+        assert not hasattr(obj, "__dict__")
+    step = PathStep(tree.root, a, 1.0, leaf)
+    with pytest.raises(AttributeError):
+        step.reward = 0.0

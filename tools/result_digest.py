@@ -9,7 +9,9 @@ values, the evaluation rollouts and the tree snapshot with its node
 digests. Two source trees that print the same digest made the same search
 decisions.
 
-    PYTHONPATH=src python3 tools/result_digest.py [--iterations N] [--verbose]
+    PYTHONPATH=src python3 tools/result_digest.py [--iterations N] [--verbose] [--expect HEX]
+
+With --expect, a digest other than HEX prints both and exits with status 1.
 """
 
 from __future__ import annotations
@@ -69,6 +71,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--iterations", type=int, default=60)
     parser.add_argument("--verbose", action="store_true", help="print each run's digest too")
+    parser.add_argument("--expect", metavar="HEX", help="exit 1 unless the digest is HEX")
     args = parser.parse_args(argv)
     total = hashlib.sha256()
     for env in ENVS:
@@ -78,7 +81,11 @@ def main(argv=None) -> int:
             if args.verbose:
                 print(spec.run_id, digest)
             total.update(f"{spec.run_id} {digest}\n".encode())
-    print(total.hexdigest())
+    digest = total.hexdigest()
+    print(digest)
+    if args.expect is not None and digest != args.expect:
+        print(f"digest {digest} differs from the expected {args.expect}")
+        return 1
     return 0
 
 
