@@ -349,7 +349,6 @@ class TestSnapshot:
         assert {"id", "kind", "action_text", "prior", "mean", "N", "children"} <= set(action)
 
 
-
 def test_nodes_and_traces_are_slotted():
     tree = make_tree()
     (a, _) = expand_root(tree)
