@@ -42,6 +42,11 @@ EVAL_EPISODES = 5
 EVAL_SEED_OFFSET = 10_000
 
 
+def eval_seed(seed: int, episode: int) -> int:
+    """The environment seed of a run's evaluation episode."""
+    return EVAL_SEED_OFFSET + seed * EVAL_EPISODES + episode
+
+
 @dataclass(frozen=True)
 class RunSpec:
     run_id: str
@@ -129,9 +134,7 @@ def execute_run(spec: RunSpec) -> dict:
     returns = []
     reached = []
     for episode in range(EVAL_EPISODES):
-        total, done, _ = rollout_recommended(
-            env, result.tree, seed=EVAL_SEED_OFFSET + spec.seed * EVAL_EPISODES + episode
-        )
+        total, done, _ = rollout_recommended(env, result.tree, seed=eval_seed(spec.seed, episode))
         returns.append(total)
         reached.append(done and total > 0.5)
     realized = float(np.mean(returns))

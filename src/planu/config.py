@@ -9,12 +9,13 @@ line-numbered diagnostics rather than silently ignored.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 
 from .envs import ENVS
 from .envs.blocksworld import MAX_BLOCKS
 from .envs.overcooked import RECIPES
 from .errors import ConfigError
-from .planner import CONFIG_FIELDS, VARIANTS
+from .planner import CONFIG_FIELDS, VARIANTS, PlannerConfig
 from .rules import Rule, at_least, is_int, one_of, real
 
 
@@ -31,12 +32,13 @@ def _nonempty_list(item):
     return lambda x: isinstance(x, list) and len(x) > 0 and all(item(v) for v in x)
 
 
+_SEED = next(f for f in fields(PlannerConfig) if f.name == "seed").metadata["rule"]
 _RATE = real(0.0, 1.0)
 _PATH = Rule(lambda x: isinstance(x, str) and x, "nonempty path")
 
 SCHEMA: dict[str, Rule] = {
     "env": one_of(ENVS),
-    "seeds": Rule(_nonempty_list(at_least(0).check), "nonempty list of integers >= 0"),
+    "seeds": Rule(_nonempty_list(_SEED.check), "nonempty list of integers >= 0"),
     "variants": Rule(
         _nonempty_list(one_of(VARIANTS).check), f"nonempty list drawn from {tuple(VARIANTS)}"
     ),

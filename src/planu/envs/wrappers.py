@@ -1,6 +1,6 @@
 """Environment wrapper that replaces stochastic outcomes with the mode.
 
-Each wrapped step queries the inner environment k times for the same
+Each wrapped step queries the inner environment SAMPLES times for the same
 (state, action) pair and returns the most frequent outcome seen so far for
 that pair, accumulated across calls (ties broken by first occurrence).
 This emulates planners that deterministicize a stochastic world model by
@@ -9,15 +9,14 @@ keeping only the most frequent next state.
 
 from __future__ import annotations
 
+SAMPLES = 5  # inner steps per wrapped step; no config or workload sets another value
+
 
 class DeterministicizedEnv:
     """Mode-outcome wrapper around any text-state environment."""
 
-    def __init__(self, inner, samples_k: int = 5):
-        if samples_k < 1 or samples_k % 2 == 0:
-            raise ValueError(f"samples_k must be a positive odd integer, got {samples_k}")
+    def __init__(self, inner):
         self.inner = inner
-        self.samples_k = samples_k
         self.max_steps = inner.max_steps
         # (state, action) -> next state -> [count, first (next, reward, done) seen],
         # in order of first sight
@@ -32,7 +31,7 @@ class DeterministicizedEnv:
 
     def step(self, state: str, action_text: str) -> tuple[str, float, bool]:
         tally = self._tally.setdefault((state, action_text), {})
-        for _ in range(self.samples_k):
+        for _ in range(SAMPLES):
             out = self.inner.step(state, action_text)
             tally.setdefault(out[0], [0, out])[0] += 1
         # max keeps the first of equal counts: the earliest-seen mode

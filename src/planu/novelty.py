@@ -154,7 +154,6 @@ class RunningNormalizer:
     """
 
     def __init__(self, dim: int, clamp: float = OBS_CLAMP, eps: float = 1e-8):
-        self.dim = dim
         self.clamp = np.float32(clamp)
         self.eps = np.float32(eps)
         self.count = 0

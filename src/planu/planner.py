@@ -41,14 +41,6 @@ VARIANTS = {
     "deterministic_baseline": VariantBehavior(False, "curiosity", True),
 }
 
-# Search constants. No config or workload sets another value; the quantile
-# count, the step's decay and the baseline's sample count are the defaults
-# of Tree, backpropagate and DeterministicizedEnv.
-C1 = 0.25  # weight of the exploration bonus in select_action
-GAMMA = 0.95  # discount of the backup targets
-QR_STEP = 2.0  # quantile-regression step of a node's first backup
-KAPPA = 0.05  # Huber threshold of the quantile loss
-
 
 def _param(default, rule: Rule, key: bool = True, env_default: bool = False):
     """A checked planner parameter.
@@ -64,7 +56,7 @@ class PlannerConfig:
     iterations: int = _param(200, at_least(1))
     depth_limit: int = _param(10, at_least(1))
     variant: str = _param("full", one_of(VARIANTS), key=False)
-    seed: int = 0
+    seed: int = _param(0, at_least(0), key=False)
     # curiosity model
     # at most 10^4 times the largest env default: from about 1e19 up the
     # float32 novelty overflows, and 1e6 keeps it near 1e11
@@ -154,7 +146,7 @@ def run_search(env, policy, cfg: PlannerConfig) -> SearchResult:
                     tree.expand(node, policy.propose(text))
                 r_i = rnd.novelty_reward(text) if rnd is not None else 0.0
                 novelty_values.append(r_i)
-                a = select_action(node, r_i, C1, behavior.exploration)
+                a = select_action(node, r_i, behavior.exploration)
                 next_text, reward, done = env.step(text, a.action_text)
                 child = tree.attach_outcome(a, next_text, len(path) + 1, done)
                 path.append(PathStep(node, a, reward, child))
@@ -164,7 +156,7 @@ def run_search(env, policy, cfg: PlannerConfig) -> SearchResult:
             if rnd is not None:
                 rnd.train_predictor()
             if path:
-                backpropagate(path, GAMMA, QR_STEP, KAPPA)
+                backpropagate(path)
         except SearchError:
             raise
         except Exception as exc:

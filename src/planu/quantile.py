@@ -32,14 +32,13 @@ class QuantileDistribution:
     The values are read-only: an update builds a new distribution, so one
     distribution may be shared by many nodes, and the mean is computed
     once, at construction. It has the same bits as values.mean(). The
-    values are copied, unless copy=False hands over a float64 array that
-    no one else holds.
+    values are copied.
     """
 
     __slots__ = ("values", "mean")
 
-    def __init__(self, values, copy: bool = True):
-        arr = np.array(values, dtype=np.float64, copy=copy or None)
+    def __init__(self, values):
+        arr = np.array(values, dtype=np.float64)
         if arr.ndim != 1 or arr.shape[0] < 1:
             raise ValueError("quantile values must be a nonempty 1-d array")
         _fill(self, arr)
@@ -83,7 +82,7 @@ def init_from_prior(prior: float, n_q: int) -> QuantileDistribution:
 
 @lru_cache(maxsize=256)
 def _prior_distribution(prior: float, sign: float, n_q: int) -> QuantileDistribution:
-    return QuantileDistribution(np.full(n_q, prior), copy=False)
+    return _fill(object.__new__(QuantileDistribution), np.full(n_q, prior))
 
 
 def qr_update(d: QuantileDistribution, targets, step: float, kappa: float) -> QuantileDistribution:

@@ -20,6 +20,14 @@ import numpy as np
 from .errors import SearchError
 from .quantile import QuantileDistribution, init_from_prior, qr_update
 
+# Search constants. No config or workload sets another value.
+N_QUANTILES = 51  # quantile values of each action node's return distribution
+C1 = 0.25  # weight of the exploration bonus in select_action
+GAMMA = 0.95  # discount of the backup targets
+QR_STEP = 2.0  # quantile-regression step of a node's first backup
+STEP_DECAY = 0.75  # exponent of the step's decay with a node's visits
+KAPPA = 0.05  # Huber threshold of the quantile loss
+
 
 @dataclass(frozen=True)
 class StateKey:
@@ -84,8 +92,7 @@ class Tree:
     is a shared node like any other.
     """
 
-    def __init__(self, root_text: str, n_q: int = 51, distributional: bool = True):
-        self.n_q = n_q
+    def __init__(self, root_text: str, distributional: bool = True):
         self.distributional = distributional
         self.root = StateNode(StateKey(root_text), 0)
         self._index: dict[str, StateNode] = {}
@@ -103,9 +110,9 @@ class Tree:
             raise SearchError(f"no action proposals for state {s.key.digest}")
         for text, prior in proposals:
             if self.distributional:
-                node = ActionNode(action_text=text, prior=prior, z=init_from_prior(prior, self.n_q))
+                node = ActionNode(text, prior, init_from_prior(prior, N_QUANTILES))
             else:
-                node = ActionNode(action_text=text, prior=prior, z=None, value=float(prior))
+                node = ActionNode(text, prior, value=float(prior))
             s.actions.append(node)
         return s.actions
 
@@ -120,16 +127,11 @@ class Tree:
         return child
 
 
-def select_action(
-    s: StateNode,
-    novelty: float,
-    c1: float,
-    exploration: str = "curiosity",
-) -> ActionNode:
+def select_action(s: StateNode, novelty: float, exploration: str) -> ActionNode:
     """Pick the action child maximizing mean return + exploration bonus.
 
-    The curiosity bonus is c1 * novelty / max(N, 1); the "uct" mode swaps in
-    the classic c1 * sqrt(ln N_parent / N) term instead. Ties go to the
+    The "curiosity" bonus is C1 * novelty / max(N, 1); the "uct" mode swaps
+    in the classic C1 * sqrt(ln N_parent / N) term instead. Ties go to the
     lowest-index child.
     """
     if not s.actions:
@@ -138,13 +140,13 @@ def select_action(
         # a state's visits are the sum of its actions' visits
         log_n = math.log(max(s.visits, 1))
         scores = [
-            a.mean_value() + (c1 * math.sqrt(log_n / a.visits) if a.visits > 0 else math.inf)
+            a.mean_value() + (C1 * math.sqrt(log_n / a.visits) if a.visits > 0 else math.inf)
             for a in s.actions
         ]
     elif exploration == "curiosity":
         if not math.isfinite(novelty):
             raise SearchError(f"non-finite novelty {novelty} at state {s.key.digest}")
-        scores = [a.mean_value() + c1 * novelty / max(a.visits, 1) for a in s.actions]
+        scores = [a.mean_value() + C1 * novelty / max(a.visits, 1) for a in s.actions]
     else:
         raise ValueError(f"unknown exploration mode {exploration!r}")
     return s.actions[_first_max(scores)]
@@ -155,16 +157,14 @@ def _first_max(scores: list[float]) -> int:
     return max(range(len(scores)), key=scores.__getitem__)
 
 
-def backpropagate(
-    path: list[PathStep], gamma: float, step: float, kappa: float, decay: float = 0.75
-) -> None:
+def backpropagate(path: list[PathStep]) -> None:
     """Update every action node on the path, from the last step backward.
 
     The final step's target set is {r}; an interior step's targets are
-    r + gamma * theta'_j over the successor action node's quantiles (the
+    r + GAMMA * theta'_j over the successor action node's quantiles (the
     action actually taken next on this path). Each node's per-visit update
-    step decays as step / N**decay so early backups move fast and late
-    estimates settle as visits accumulate.
+    step decays as QR_STEP / N**STEP_DECAY so early backups move fast and
+    late estimates settle as visits accumulate.
     """
     if not path:
         raise SearchError("backpropagate on an empty path")
@@ -180,14 +180,14 @@ def backpropagate(
             if after is None:
                 targets = np.array([ps.reward])
             else:
-                targets = gamma * after.z.values
+                targets = GAMMA * after.z.values
                 targets += ps.reward
-            a.z = qr_update(a.z, targets, step=step / a.visits**decay, kappa=kappa)
+            a.z = qr_update(a.z, targets, step=QR_STEP / a.visits**STEP_DECAY, kappa=KAPPA)
         else:
             if after is None:
                 target = ps.reward
             else:
-                target = ps.reward + gamma * after.mean_value()
+                target = ps.reward + GAMMA * after.mean_value()
             a.value += (target - a.value) / a.visits
         after = a
 

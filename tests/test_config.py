@@ -70,7 +70,7 @@ class TestValidateConfig:
             assert f"line 2: unknown key {key!r}" in err.value.diagnostics
 
     def test_deterministicize_k_must_be_odd(self, tmp_path):
-        # k is fixed at the odd DeterministicizedEnv default; an even k in a config
+        # k is fixed by the odd module constant of the wrapper; an even k in a config
         # is refused as a key that no longer exists
         with pytest.raises(ConfigError) as err:
             validate_config(write(tmp_path, "env = stock\ndeterministicize_k = 4\n"))

@@ -422,7 +422,7 @@ def test_every_offered_action_steps(name, rate):
 
 class TestDeterministicized:
     def test_mode_outcome_for_risky_stock_action(self):
-        env = DeterministicizedEnv(StockEnv(), samples_k=5)
+        env = DeterministicizedEnv(StockEnv())
         state = env.reset(0)
         # over many wrapped calls the cumulative mode must settle on the
         # 60% outcome: profit with reward 1
@@ -431,18 +431,12 @@ class TestDeterministicized:
         assert (nxt, r, done) == ("sold_b_profit", 1.0, True)
 
     def test_deterministic_env_unchanged(self):
-        env = DeterministicizedEnv(StockEnv(), samples_k=3)
+        env = DeterministicizedEnv(StockEnv())
         state = env.reset(0)
         assert env.step(state, "buy_a") == ("sold_a", 0.9, True)
 
-    def test_even_or_nonpositive_k_rejected(self):
-        with pytest.raises(ValueError):
-            DeterministicizedEnv(StockEnv(), samples_k=4)
-        with pytest.raises(ValueError):
-            DeterministicizedEnv(StockEnv(), samples_k=0)
-
     def test_reset_clears_tallies(self):
-        env = DeterministicizedEnv(StockEnv(), samples_k=5)
+        env = DeterministicizedEnv(StockEnv())
         state = env.reset(0)
         env.step(state, "buy_b")
         env.reset(1)

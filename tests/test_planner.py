@@ -43,6 +43,9 @@ class TestPlannerConfig:
             {"rnd_output_gain": math.inf},
             {"rnd_output_gain": None},
             {"rnd_output_gain": 10**400},  # an int, but no float can hold it
+            {"seed": -1},
+            {"seed": True},
+            {"seed": 1.5},
         ],
     )
     def test_invalid_values_raise(self, kwargs):

@@ -263,13 +263,6 @@ def test_distribution_copies_the_callers_array():
     assert d.mean == float(d.values.mean())
 
 
-def test_distribution_takes_a_handed_over_array_without_a_copy():
-    buf = np.array([0.1, 0.2])
-    d = QuantileDistribution(buf, copy=False)
-    assert d.values is buf
-    assert not buf.flags.writeable
-
-
 def test_init_from_prior_is_shared_per_prior_and_n_q():
     d = init_from_prior(0.25, 7)
     assert init_from_prior(0.25, 7) is d

@@ -10,6 +10,12 @@ from planu.errors import SearchError
 from planu.planner import IterationTrace
 from planu.quantile import QuantileDistribution, qr_update
 from planu.tree import (
+    C1,
+    GAMMA,
+    KAPPA,
+    N_QUANTILES,
+    QR_STEP,
+    STEP_DECAY,
     PathStep,
     StateKey,
     Tree,
@@ -21,7 +27,7 @@ from planu.tree import (
 
 
 def make_tree(**kwargs):
-    return Tree("root-state", n_q=5, **kwargs)
+    return Tree("root-state", **kwargs)
 
 
 def expand_root(tree, proposals=None):
@@ -44,7 +50,7 @@ def root_with(actions, distributional):
     nodes = expand_root(tree, [(f"a{i}", 0.5) for i in range(len(actions))])
     for node, (m, visits) in zip(nodes, actions):
         if distributional:
-            node.z = QuantileDistribution(np.full(5, m))
+            node.z = QuantileDistribution(np.full(N_QUANTILES, m))
         else:
             node.value = m
         node.visits = visits
@@ -163,65 +169,65 @@ class TestSelectAction:
     def test_picks_dominant_mean(self):
         tree = make_tree()
         (a, b) = expand_root(tree, [("a", 0.9), ("b", 0.6)])
-        assert select_action(tree.root, novelty=0.0, c1=0.25) is a
+        assert select_action(tree.root, novelty=0.0, exploration="curiosity") is a
 
     def test_picks_less_visited_on_equal_means(self):
         tree = make_tree()
         (a, b) = expand_root(tree, [("a", 0.5), ("b", 0.5)])
         a.visits = 10
         b.visits = 1
-        assert select_action(tree.root, novelty=1.0, c1=0.25) is b
+        assert select_action(tree.root, novelty=1.0, exploration="curiosity") is b
 
     def test_tie_breaks_to_lowest_index(self):
         tree = make_tree()
         (a, b) = expand_root(tree, [("a", 0.5), ("b", 0.5)])
-        assert select_action(tree.root, novelty=0.0, c1=0.25) is a
+        assert select_action(tree.root, novelty=0.0, exploration="curiosity") is a
 
     def test_empty_children_raises(self):
         tree = make_tree()
         with pytest.raises(SearchError):
-            select_action(tree.root, novelty=0.0, c1=0.25)
+            select_action(tree.root, novelty=0.0, exploration="curiosity")
 
     def test_affine_shift_invariance(self):
         tree = make_tree()
         actions = expand_root(tree, [("a", 0.2), ("b", 0.9), ("c", 0.4)])
-        before = select_action(tree.root, novelty=0.7, c1=0.25)
+        before = select_action(tree.root, novelty=0.7, exploration="curiosity")
         for node in actions:
             node.z = QuantileDistribution(node.z.values + 3.0)
-        after = select_action(tree.root, novelty=0.7, c1=0.25)
+        after = select_action(tree.root, novelty=0.7, exploration="curiosity")
         assert before.action_text == after.action_text
 
     def test_uct_mode_prefers_unvisited(self):
         tree = make_tree()
         (a, b) = expand_root(tree, [("a", 0.9), ("b", 0.1)])
         a.visits = 5
-        assert select_action(tree.root, novelty=0.0, c1=0.25, exploration="uct") is b
+        assert select_action(tree.root, novelty=0.0, exploration="uct") is b
 
     @pytest.mark.parametrize("novelty", [math.nan, math.inf, -math.inf])
     def test_non_finite_novelty_raises(self, novelty):
         tree = make_tree()
         (a, b) = expand_root(tree, [("a", 0.2), ("b", 0.9)])
         with pytest.raises(SearchError, match=tree.root.key.digest):
-            select_action(tree.root, novelty=novelty, c1=0.25)
+            select_action(tree.root, novelty=novelty, exploration="curiosity")
 
     @settings(max_examples=200, deadline=None)
     @given(actions=ROOT_ACTIONS, distributional=st.booleans(),
-           novelty=st.sampled_from([0.0, 0.5, 1.0]), c1=st.sampled_from([0.0, 0.25, 1.0]))
-    def test_same_choice_as_argmax(self, actions, distributional, novelty, c1):
+           novelty=st.sampled_from([0.0, 0.5, 1.0]))
+    def test_same_choice_as_argmax(self, actions, distributional, novelty):
         root = root_with(actions, distributional)
         means = [m for m, _ in actions]
-        curiosity = [m + c1 * novelty / max(n, 1) for m, n in actions]
+        curiosity = [m + C1 * novelty / max(n, 1) for m, n in actions]
         log_n = math.log(max(root.visits, 1))
-        uct = [m + (c1 * math.sqrt(log_n / n) if n > 0 else math.inf) for m, n in actions]
-        assert select_action(root, novelty, c1) is root.actions[int(np.argmax(curiosity))]
-        assert select_action(root, novelty, c1, "uct") is root.actions[int(np.argmax(uct))]
+        uct = [m + (C1 * math.sqrt(log_n / n) if n > 0 else math.inf) for m, n in actions]
+        assert select_action(root, novelty, "curiosity") is root.actions[int(np.argmax(curiosity))]
+        assert select_action(root, novelty, "uct") is root.actions[int(np.argmax(uct))]
         assert recommend(root) is root.actions[int(np.argmax(means))]
 
     def test_unknown_exploration_mode_raises(self):
         tree = make_tree()
         expand_root(tree)
         with pytest.raises(ValueError):
-            select_action(tree.root, novelty=0.0, c1=0.25, exploration="thompson")
+            select_action(tree.root, novelty=0.0, exploration="thompson")
 
 
 class TestBackpropagate:
@@ -231,22 +237,23 @@ class TestBackpropagate:
         leaf = tree.attach_outcome(a, "end", depth=1, terminal=True)
         path = [PathStep(tree.root, a, 1.0, leaf)]
         before = a.z.values.mean()
-        backpropagate(path, gamma=1.0, step=0.5, kappa=0.05)
+        backpropagate(path)
         assert a.z.values.mean() > before
         assert a.visits == 1
         assert tree.root.visits == 1
 
-    def test_two_step_pass_through_under_unit_gamma(self):
+    def test_two_step_pass_through_under_gamma(self):
         tree = make_tree()
         (root_a, _) = expand_root(tree)
         mid = tree.attach_outcome(root_a, "mid", depth=1, terminal=False)
         (mid_a,) = tree.expand(mid, [("finish", 1.0)])
-        mid_a.z = QuantileDistribution(np.ones(5))
+        mid_a.z = QuantileDistribution(np.ones(N_QUANTILES))
         leaf = tree.attach_outcome(mid_a, "end", depth=2, terminal=True)
         path = [PathStep(tree.root, root_a, 0.0, mid), PathStep(mid, mid_a, 1.0, leaf)]
         before = root_a.z.values.mean()
-        backpropagate(path, gamma=1.0, step=0.5, kappa=0.05)
-        # root target set was {0 + 1 * theta'_j} = {1,...}: mean moves up
+        backpropagate(path)
+        # root target set was {0 + GAMMA * theta'_j} = {GAMMA,...}, above the
+        # prior 0.5: mean moves up
         assert root_a.z.values.mean() > before
 
     def test_update_leaves_a_node_sharing_the_prior_unchanged(self):
@@ -254,10 +261,10 @@ class TestBackpropagate:
         (a, b) = expand_root(tree)
         shared = b.z
         leaf = tree.attach_outcome(a, "end", depth=1, terminal=True)
-        backpropagate([PathStep(tree.root, a, 1.0, leaf)], gamma=0.95, step=0.5, kappa=0.05)
+        backpropagate([PathStep(tree.root, a, 1.0, leaf)])
         assert a.z is not shared
         assert b.z is shared
-        assert b.z.values.tobytes() == np.full(5, 0.5).tobytes()
+        assert b.z.values.tobytes() == np.full(N_QUANTILES, 0.5).tobytes()
 
     def test_self_loop_updates_its_action_once_per_pass(self):
         # a failed action leaves the state as it was: s -fail-> s -fail-> s -win-> end
@@ -274,19 +281,19 @@ class TestBackpropagate:
             PathStep(s, win, 1.0, end),
         ]
         prior = fail.z
-        backpropagate(path, gamma=0.95, step=0.5, kappa=0.05)
+        backpropagate(path)
         assert (tree.root.visits, s.visits) == (1, 3)
         assert (a.visits, fail.visits, win.visits) == (1, 2, 1)
         # backward from the end: the earlier pass targets what the later one wrote
-        once = qr_update(prior, 0.95 * win.z.values, step=0.5, kappa=0.05)
-        twice = qr_update(once, 0.95 * once.values, step=0.5 / 2**0.75, kappa=0.05)
+        once = qr_update(prior, GAMMA * win.z.values, step=QR_STEP, kappa=KAPPA)
+        twice = qr_update(once, GAMMA * once.values, step=QR_STEP / 2**STEP_DECAY, kappa=KAPPA)
         assert fail.z.values.tobytes() == twice.values.tobytes()
 
     def test_only_path_nodes_get_visit_increments(self):
         tree = make_tree()
         (a, b) = expand_root(tree)
         leaf = tree.attach_outcome(a, "end", depth=1, terminal=True)
-        backpropagate([PathStep(tree.root, a, 1.0, leaf)], gamma=0.95, step=0.5, kappa=0.05)
+        backpropagate([PathStep(tree.root, a, 1.0, leaf)])
         assert a.visits == 1
         assert b.visits == 0
 
@@ -295,12 +302,12 @@ class TestBackpropagate:
         (a, b) = expand_root(tree)
         leaf = tree.attach_outcome(a, "end", depth=1, terminal=True)
         for _ in range(7):
-            backpropagate([PathStep(tree.root, a, 1.0, leaf)], gamma=0.95, step=0.5, kappa=0.05)
+            backpropagate([PathStep(tree.root, a, 1.0, leaf)])
         assert a.visits + b.visits == 7
 
     def test_empty_path_raises(self):
         with pytest.raises(SearchError):
-            backpropagate([], gamma=0.95, step=0.5, kappa=0.05)
+            backpropagate([])
 
     def test_inconsistent_path_raises(self):
         tree = make_tree()
@@ -309,15 +316,15 @@ class TestBackpropagate:
         c2 = tree.attach_outcome(b, "y", depth=1, terminal=True)
         bad = [PathStep(tree.root, a, 0.0, c1), PathStep(c2, b, 0.0, None)]
         with pytest.raises(SearchError):
-            backpropagate(bad, gamma=0.95, step=0.5, kappa=0.05)
+            backpropagate(bad)
 
     def test_scalar_mode_incremental_mean(self):
         tree = Tree("root-state", distributional=False)
         (a,) = tree.expand(tree.root, [("go", 0.5)])
         leaf = tree.attach_outcome(a, "end", depth=1, terminal=True)
-        backpropagate([PathStep(tree.root, a, 1.0, leaf)], gamma=0.95, step=0.5, kappa=0.05)
+        backpropagate([PathStep(tree.root, a, 1.0, leaf)])
         assert a.value == pytest.approx(1.0)  # first visit adopts the target
-        backpropagate([PathStep(tree.root, a, 0.0, leaf)], gamma=0.95, step=0.5, kappa=0.05)
+        backpropagate([PathStep(tree.root, a, 0.0, leaf)])
         assert a.value == pytest.approx(0.5)
 
 

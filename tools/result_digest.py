@@ -28,9 +28,9 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np  # noqa: E402
 from planu.cli import (  # noqa: E402
     EVAL_EPISODES,
-    EVAL_SEED_OFFSET,
     build_env,
     enumerate_runs,
+    eval_seed,
     planner_config,
 )
 from planu.config import DEFAULTS  # noqa: E402
@@ -61,7 +61,7 @@ def run_digest(spec, iterations: int) -> str:
         h.update(np.array(t.novelty_values, dtype=np.float64).tobytes())
     h.update(result.recommended_action.encode())
     for episode in range(EVAL_EPISODES):
-        seed = EVAL_SEED_OFFSET + spec.seed * EVAL_EPISODES + episode
+        seed = eval_seed(spec.seed, episode)
         total, done, actions = rollout_recommended(env, result.tree, seed=seed)
         h.update(repr((np.float64(total).tobytes(), done, actions)).encode())
     return h.hexdigest()
