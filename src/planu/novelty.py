@@ -16,7 +16,11 @@ import numpy as np
 HIDDEN_SIZES = (64, 64, 128)
 LEARNING_RATE = np.float32(1e-5)  # float32, like every array of the model
 TRAIN_BATCH_SIZE = 64
-TRAIN_STEPS = 5  # batches whose gradients are summed into one SGD step per call
+TRAIN_EVERY = 2  # search iterations per training call
+# batches whose gradients are summed into one SGD step per call: five per
+# iteration, so to first order in the learning rate the training per
+# iteration does not depend on TRAIN_EVERY
+TRAIN_STEPS = 5 * TRAIN_EVERY
 INTRINSIC_WEIGHT = 0.01  # scale of the novelty reward
 DEFAULT_EMBED_DIM = 384
 OBS_CLAMP = 1.0
@@ -277,7 +281,7 @@ class RndModel:
         draw from the buffer gives all of the batches' entries, whose
         unique rows take one forward pass and one backward pass. To first
         order in the learning rate, the step equals TRAIN_STEPS steps, one
-        per batch.
+        per batch. The search calls it once every TRAIN_EVERY iterations.
         """
         batch_size = min(TRAIN_BATCH_SIZE, len(self.buffer))
         rows, weights = self.buffer.sample_weighted(TRAIN_STEPS * batch_size, self._rng)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import SearchError
-from .novelty import RndModel
+from .novelty import TRAIN_EVERY, RndModel
 from .rules import Rule, at_least, one_of, real
 from .tree import PathStep, Tree, backpropagate, recommend, select_action
 from .envs.wrappers import DeterministicizedEnv
@@ -114,8 +114,11 @@ def run_search(env, policy, cfg: PlannerConfig) -> SearchResult:
 
     Each iteration descends from the root — selecting among expanded
     children, expanding leaves, and stepping the environment — until a
-    terminal state or the depth limit, then trains the curiosity predictor
-    on the states visited this iteration and backs the rewards up the path.
+    terminal state or the depth limit, then backs the rewards up the path.
+    Before the backup, every TRAIN_EVERY-th iteration but the last trains
+    the curiosity predictor on a draw from the model's FIFO buffer of the
+    states observed so far; nothing reads the predictor after the last
+    iteration.
     The recommendation is the root action with the highest mean return; no
     exploration bonus enters the extraction.
     """
@@ -153,7 +156,7 @@ def run_search(env, policy, cfg: PlannerConfig) -> SearchResult:
                 if rnd is not None:
                     rnd.observe(next_text)
                 node = child
-            if rnd is not None:
+            if rnd is not None and (i + 1) % TRAIN_EVERY == 0 and i + 1 < cfg.iterations:
                 rnd.train_predictor()
             if path:
                 backpropagate(path)

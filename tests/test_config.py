@@ -69,13 +69,6 @@ class TestValidateConfig:
                 validate_config(write(tmp_path, f"env = stock\n{key} = {value}\n"))
             assert f"line 2: unknown key {key!r}" in err.value.diagnostics
 
-    def test_deterministicize_k_must_be_odd(self, tmp_path):
-        # k is fixed by the odd module constant of the wrapper; an even k in a config
-        # is refused as a key that no longer exists
-        with pytest.raises(ConfigError) as err:
-            validate_config(write(tmp_path, "env = stock\ndeterministicize_k = 4\n"))
-        assert "line 2: unknown key 'deterministicize_k'" in err.value.diagnostics
-
     def test_bad_values_aggregated_with_line_numbers(self, tmp_path):
         path = write(tmp_path, "env = mars\ndepth_limit = 0\niterations = 1.5\n")
         with pytest.raises(ConfigError) as err:

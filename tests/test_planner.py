@@ -3,7 +3,9 @@ from dataclasses import fields
 
 import pytest
 
+from planu import planner
 from planu.envs import StockEnv, generate_instance
+from planu.novelty import TRAIN_EVERY, RndModel
 from planu.planner import (
     VARIANTS,
     PlannerConfig,
@@ -127,6 +129,22 @@ class TestRunSearch:
     def test_full_variant_uses_quantile_nodes(self):
         result = run_search(StockEnv(), None, PlannerConfig(iterations=20))
         assert all(a.z is not None and a.z.n_q == 51 for a in result.tree.root.actions)
+
+    @pytest.mark.parametrize("variant", ["full", "no_ucc"])
+    @pytest.mark.parametrize("iterations", [1, 2, 3, 4, 5])
+    def test_predictor_trains_every_second_iteration(self, monkeypatch, variant, iterations):
+        # after every TRAIN_EVERY-th iteration but the last, which nothing follows
+        calls = []
+
+        class RecordedRndModel(RndModel):
+            def train_predictor(self):
+                calls.append(None)
+                super().train_predictor()
+
+        monkeypatch.setattr(planner, "RndModel", RecordedRndModel)
+        run_search(StockEnv(), None, PlannerConfig(iterations=iterations, variant=variant))
+        expected = 0 if variant == "no_ucc" else (iterations - 1) // TRAIN_EVERY
+        assert len(calls) == expected
 
     def test_node_reprs_stay_small(self):
         # a node's repr leaves out its subtree: children and actions

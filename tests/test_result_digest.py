@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-DIGEST_20 = "226f0a46263e9b74afff664cc1e649b2f5f90f17da0a37e62fd27567b7ad30d9"
+DIGEST_20 = "8caa577c6b359d6b0d7bdb23eb5a8366a46975044ae2e995be5a4f716caf58eb"
 
 
 def test_result_digest_unchanged():
