@@ -9,6 +9,7 @@ lose novelty over time.
 
 from __future__ import annotations
 
+import copy
 import zlib
 
 import numpy as np
@@ -153,8 +154,9 @@ class RunningNormalizer:
     matmul of the networks, float64.
 
     The scale max(std, eps) is recomputed in place by the first normalize
-    after an update. The search scores each state right after observing
-    it, so only an iteration's first score, after training, reuses it.
+    after an update. RndModel scores through a snapshot() of the statistics
+    and trains on the live ones, so a snapshot computes its scale at most
+    once and the live scale is recomputed once per training call.
     """
 
     def __init__(self, dim: int, clamp: float = OBS_CLAMP, eps: float = 1e-8):
@@ -186,6 +188,13 @@ class RunningNormalizer:
         # np.clip(out, -clamp, clamp) in place, without np.clip's per-call overhead
         np.maximum(out, self._lo, out=out)
         return np.minimum(out, self._hi, out=out)
+
+    def snapshot(self) -> RunningNormalizer:
+        """A copy of the current statistics that later updates leave as they are."""
+        frozen = copy.copy(self)  # shares the clamp bounds, which nothing writes
+        frozen._mean, frozen._m2 = self._mean.copy(), self._m2.copy()
+        frozen._scale = self._scale.copy()
+        return frozen
 
 
 class StateBuffer:
@@ -260,6 +269,8 @@ class RndModel:
         # multiplies novelty by gain^2 without touching training dynamics
         self.output_gain = output_gain
         self._rng = np.random.default_rng((seed, 3))
+        self._scores: dict[str, float] = {}  # text -> novelty, since the last training call
+        self._frozen: RunningNormalizer | None = None  # the normalizer that scoring reads
 
     def observe(self, text: str):
         """Fold a visited state into the normalization statistics and the buffer."""
@@ -267,11 +278,24 @@ class RndModel:
         self.buffer.add(text)
 
     def novelty_reward(self, text: str) -> float:
-        z = self.normalizer.normalize(self.embedding.embed(text))
-        out = self.networks.forward(z)[-1]
-        diff = self.output_gain * (out[PREDICTOR] - out[TARGET])
-        diff *= diff
-        return INTRINSIC_WEIGHT * float(np.add.reduce(diff, axis=None))
+        """The scaled squared distance between predictor and target on text.
+
+        Between two training calls each text is scored once, and memoized:
+        the first score after construction or training takes a snapshot of
+        the normalizer, and every score up to the next training call reads
+        that snapshot and the unchanged predictor, so later observes do not
+        change it.
+        """
+        score = self._scores.get(text)
+        if score is None:
+            if self._frozen is None:
+                self._frozen = self.normalizer.snapshot()
+            z = self._frozen.normalize(self.embedding.embed(text))
+            out = self.networks.forward(z)[-1]
+            diff = self.output_gain * (out[PREDICTOR] - out[TARGET])
+            diff *= diff
+            score = self._scores[text] = INTRINSIC_WEIGHT * float(np.add.reduce(diff, axis=None))
+        return score
 
     def train_predictor(self):
         """One SGD step moving the predictor toward the frozen target.
@@ -282,6 +306,10 @@ class RndModel:
         unique rows take one forward pass and one backward pass. To first
         order in the learning rate, the step equals TRAIN_STEPS steps, one
         per batch. The search calls it once every TRAIN_EVERY iterations.
+
+        The draw is normalized with the live statistics, every observe
+        included. The step ends the scoring interval: it forgets the
+        memoized scores and the normalizer snapshot that they read.
         """
         batch_size = min(TRAIN_BATCH_SIZE, len(self.buffer))
         rows, weights = self.buffer.sample_weighted(TRAIN_STEPS * batch_size, self._rng)
@@ -290,3 +318,5 @@ class RndModel:
         grad = out[PREDICTOR] - out[TARGET]  # 2 * (p - t) * count / batch_size, in place
         grad *= (2.0 * TRAIN_STEPS * weights).astype(np.float32)[:, None]
         self.networks.sgd_step(activations, grad, LEARNING_RATE)
+        self._scores.clear()
+        self._frozen = None

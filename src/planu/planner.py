@@ -115,10 +115,14 @@ def run_search(env, policy, cfg: PlannerConfig) -> SearchResult:
     Each iteration descends from the root — selecting among expanded
     children, expanding leaves, and stepping the environment — until a
     terminal state or the depth limit, then backs the rewards up the path.
-    Before the backup, every TRAIN_EVERY-th iteration but the last trains
-    the curiosity predictor on a draw from the model's FIFO buffer of the
-    states observed so far; nothing reads the predictor after the last
-    iteration.
+    In the curiosity variants, every state the descent passes through is
+    scored and every state it reaches is observed. Before the backup, every
+    TRAIN_EVERY-th iteration but the last trains the curiosity predictor
+    on a draw from the model's FIFO buffer of the states observed so far;
+    nothing reads the predictor after the last iteration. Between two
+    training calls the model scores each state once, with the
+    normalization statistics of the interval's first score, so a state's
+    novelty stays fixed for the interval.
     The recommendation is the root action with the highest mean return; no
     exploration bonus enters the extraction.
     """
@@ -190,6 +194,11 @@ def rollout_recommended(env, tree: Tree, seed: int):
     For at most env.max_steps steps, the max-mean action of the matching
     tree node is taken; off-tree states fall back to a seeded random legal
     action. Returns (total_reward, reached_terminal, actions_taken).
+
+    The tree shares one node per state text, so it is a graph that can
+    hold cycles. The replay leaves it only at a state without an expanded
+    node, so when the max-mean actions lead back to states already passed,
+    it circles among expanded states until env.max_steps.
     """
     rng = np.random.default_rng(seed)
     state = env.reset(seed)

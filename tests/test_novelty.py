@@ -198,6 +198,23 @@ class TestRunningNormalizer:
             check()
             check()
 
+    def test_snapshot_is_unchanged_by_later_updates(self):
+        rng = np.random.default_rng(4)
+        norm = RunningNormalizer(3)
+        for row in rng.normal(size=(5, 3)).astype(np.float32):
+            norm.update(row)
+        x = rng.normal(size=(4, 3)).astype(np.float32)
+        snap = norm.snapshot()
+        before = [snap.count, snap._mean.tobytes(), snap._m2.tobytes(), snap.normalize(x).tobytes()]
+        assert before[3] == norm.normalize(x).tobytes()
+        for row in rng.normal(loc=2.0, size=(3, 3)).astype(np.float32):
+            norm.update(row)
+            norm.normalize(x)  # recomputes the live scale in place
+        assert norm.count == 8
+        after = [snap.count, snap._mean.tobytes(), snap._m2.tobytes(), snap.normalize(x).tobytes()]
+        assert after == before
+        assert norm.normalize(x).tobytes() != before[3]
+
 
 class DequeBuffer:
     """The FIFO of state texts deduplicated by text while sampling: the
@@ -459,11 +476,64 @@ class TestRndModel:
 
     def test_observe_updates_normalizer_and_buffer(self):
         model = RndModel()
-        for text in ("a", "b", "a"):
+        model.novelty_reward("a")  # scores read a snapshot; observe updates the live statistics
+        for n, text in enumerate(("a", "b", "a"), start=1):
             model.observe(text)
-        assert model.normalizer.count == len(model.buffer) == 3
+            assert model.normalizer.count == len(model.buffer) == n
         rows, _ = model.buffer.sample_weighted(64, np.random.default_rng(0))
         assert {r.tobytes() for r in rows} == {embed32(t).tobytes() for t in "ab"}
+
+    def test_scores_repeat_between_training_calls(self):
+        model = RndModel(seed=4)
+        model.observe("s0")
+        first = model.novelty_reward("s0")
+        for i in range(1, 20):
+            model.observe(f"s{i}")
+            model.observe("s0")
+            assert model.novelty_reward("s0") == first
+
+    @pytest.mark.parametrize("trains", [0, 1, 3])
+    def test_score_is_that_of_a_model_that_observed_only_earlier_states(self, trains):
+        """A score reads the statistics of the interval's first score: a twin
+        that stops observing there scores every text the same."""
+        model, twin = RndModel(seed=5, output_gain=10.0), RndModel(seed=5, output_gain=10.0)
+        early = [f"early-{i}" for i in range(6)] + ["early-0"]
+        late = [f"late-{i}" for i in range(6)]
+        for m in (model, twin):
+            for text in early:
+                m.observe(text)
+            for _ in range(trains):
+                m.train_predictor()
+        model.novelty_reward("early-2")  # starts the interval
+        for text in late:
+            model.observe(text)
+        texts = early + late + ["never-observed"]
+        assert [model.novelty_reward(t) for t in texts] == [twin.novelty_reward(t) for t in texts]
+
+    def test_training_ends_the_interval(self):
+        model, twin = RndModel(seed=6), RndModel(seed=6)
+        for m in (model, twin):
+            m.observe("a")
+        model.novelty_reward("a")
+        for m in (model, twin):
+            m.observe("b")
+            m.train_predictor()
+        # the new interval's snapshot counts "b", and the predictor has moved
+        assert model.novelty_reward("a") == twin.novelty_reward("a")
+
+    def test_scoring_does_not_change_training(self):
+        # train_predictor normalizes with the live statistics, whatever the
+        # snapshot that scoring reads
+        scored, unscored = RndModel(seed=7), RndModel(seed=7)
+        for i in range(30):
+            for m in (scored, unscored):
+                m.observe(f"state-{i % 7}")
+            scored.novelty_reward(f"state-{i % 5}")
+            if i % 3 == 2:
+                scored.train_predictor()
+                unscored.train_predictor()
+        assert (scored.networks.parameter_bytes(PREDICTOR)
+                == unscored.networks.parameter_bytes(PREDICTOR))
 
     def test_training_reduces_novelty_on_seen_states(self):
         model = RndModel(seed=1)

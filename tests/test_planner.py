@@ -1,11 +1,12 @@
 import math
+from collections import Counter
 from dataclasses import fields
 
 import pytest
 
 from planu import planner
 from planu.envs import StockEnv, generate_instance
-from planu.novelty import TRAIN_EVERY, RndModel
+from planu.novelty import TRAIN_EVERY, NetworkPair, RndModel
 from planu.planner import (
     VARIANTS,
     PlannerConfig,
@@ -145,6 +146,41 @@ class TestRunSearch:
         run_search(StockEnv(), None, PlannerConfig(iterations=iterations, variant=variant))
         expected = 0 if variant == "no_ucc" else (iterations - 1) // TRAIN_EVERY
         assert len(calls) == expected
+
+    def test_full_search_scores_each_state_once_per_training_interval(self, monkeypatch):
+        # one forward pass per distinct state scored between two training
+        # calls, and one per training call
+        events = []  # ("forward", None), ("score", text) or ("train", None), in call order
+        forward = NetworkPair.forward
+
+        def recorded_forward(self, x):
+            events.append(("forward", None))
+            return forward(self, x)
+
+        class RecordedRndModel(RndModel):
+            def novelty_reward(self, text):
+                events.append(("score", text))
+                return super().novelty_reward(text)
+
+            def train_predictor(self):
+                events.append(("train", None))
+                super().train_predictor()
+
+        monkeypatch.setattr(NetworkPair, "forward", recorded_forward)
+        monkeypatch.setattr(planner, "RndModel", RecordedRndModel)
+        env = generate_instance(4, 4, failure_rate=0.2, seed=1_000)
+        run_search(env, None, PlannerConfig(iterations=60, seed=0))
+        intervals = [set()]
+        for kind, text in events:
+            if kind == "score":
+                intervals[-1].add(text)
+            elif kind == "train":
+                intervals.append(set())
+        n = Counter(kind for kind, _ in events)
+        distinct = sum(len(texts) for texts in intervals)
+        assert n["train"] == (60 - 1) // TRAIN_EVERY
+        assert n["forward"] <= distinct + n["train"]
+        assert distinct < n["score"]  # the search does score states again
 
     def test_node_reprs_stay_small(self):
         # a node's repr leaves out its subtree: children and actions

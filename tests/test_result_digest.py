@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-DIGEST_20 = "8caa577c6b359d6b0d7bdb23eb5a8366a46975044ae2e995be5a4f716caf58eb"
+DIGEST_20 = "bd261062d50cfa952068341d86e465c11b6b37bec07b4eb53d8714be1d4c2646"
 
 
 def test_result_digest_unchanged():
