@@ -26,7 +26,7 @@ import numpy as np
 
 from .config import validate_config
 from .errors import ConfigError, PlanuError
-from .envs import ENVS, generate_instance  # noqa: F401 - re-exported for callers of planu.cli
+from .envs import ENVS, generate_instance  # noqa: F401 - unused; searchbench/tracing.py patches it
 from .planner import (
     CONFIG_FIELDS,
     VARIANTS,
@@ -256,13 +256,13 @@ def run_sweep(cfg: dict) -> tuple[list[dict], list[str]]:
 
 def _overrides(args) -> dict:
     over = {}
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         over["seeds"] = [args.seed]
-    if getattr(args, "env", None) is not None:
+    if args.env is not None:
         over["env"] = args.env
-    if getattr(args, "variant", None) is not None:
+    if args.variant is not None:
         over["variants"] = [args.variant]
-    if getattr(args, "out", None) is not None:
+    if args.out is not None:
         over["out_dir"] = args.out
     return over
 

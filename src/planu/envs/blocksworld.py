@@ -1,22 +1,23 @@
 """Blocks-world simulator with stochastic action failures.
 
 Classic four-operator domain (pickup, putdown, stack, unstack) over text
-states. Each syntactically legal action fails with a configurable
-probability, leaving the state unchanged. Reaching the goal conjunction
-yields reward +1 and terminates.
+states, stated once in `operator_table`: `legal_actions` offers the
+operators whose preconditions hold, and `step` takes any operator of the
+table, one whose preconditions fail as a no-op. Each step fails with a
+configurable probability, leaving the state unchanged. Reaching the goal
+conjunction yields reward +1 and terminates.
 """
 
 from __future__ import annotations
 
 import re
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
 from ..errors import EnvError
 
 _FACT_RE = re.compile(r"^(on|ontable|clear|holding)\(([a-z0-9_]+)(?:,([a-z0-9_]+))?\)$|^handempty$")
-_ACTION_RE = re.compile(r"^(pickup|putdown|stack|unstack)\(([a-z0-9_]+)(?:,([a-z0-9_]+))?\)$")
 _UNARY = {"ontable", "clear", "holding"}
 # generated instances name their blocks a, b, c, ... with single letters
 MAX_BLOCKS = 26
@@ -46,7 +47,8 @@ def canonical(facts) -> str:
 
 
 def parse_instance(text: str) -> tuple[tuple[str, ...], frozenset[str], frozenset[str]]:
-    """Parse an instance file: `blocks:`, `init:`, and `goal:` lines."""
+    """Parse an instance file: `blocks:`, `init:`, and `goal:` lines, each
+    block listed once and each fact over listed blocks, none on itself."""
     blocks: tuple[str, ...] | None = None
     init: frozenset[str] | None = None
     goal: frozenset[str] | None = None
@@ -66,21 +68,68 @@ def parse_instance(text: str) -> tuple[tuple[str, ...], frozenset[str], frozense
             raise EnvError(f"unknown instance line {line!r}")
     if blocks is None or init is None or goal is None:
         raise EnvError("instance must define blocks:, init:, and goal:")
+    for b, c in zip(blocks, blocks[1:]):
+        if b == c:
+            raise EnvError(f"block {b} is listed twice")
+    facts = {f for pre, _ in operator_table(blocks).values() for f in pre}
+    facts -= {f"on({b},{b})" for b in blocks}
+    unknown = sorted((init | goal) - facts)
+    if unknown:
+        raise EnvError(f"{unknown[0]} is no fact over blocks {' '.join(blocks)}")
     return blocks, init, goal
 
 
+@cache
+def operator_table(blocks: tuple[str, ...]) -> dict[str, tuple[frozenset[str], frozenset[str]]]:
+    """Grounded operators over `blocks`: action -> (preconditions, added
+    facts), in sorted action order; cached, so never mutate it.
+
+    Each operator deletes exactly its preconditions. stack(x,x) and
+    unstack(x,x) are grounded too, as well-formed actions that no valid
+    state can apply."""
+    ops = {}
+    for x in blocks:
+        held, clear_x = f"holding({x})", f"clear({x})"
+        ops[f"pickup({x})"] = ({clear_x, f"ontable({x})", "handempty"}, {held})
+        ops[f"putdown({x})"] = ({held}, {f"ontable({x})", clear_x, "handempty"})
+        for y in blocks:
+            on, clear_y = f"on({x},{y})", f"clear({y})"
+            ops[f"stack({x},{y})"] = ({held, clear_y}, {on, clear_x, "handempty"})
+            ops[f"unstack({x},{y})"] = ({on, clear_x, "handempty"}, {held, clear_y})
+    return {a: (frozenset(pre), frozenset(add)) for a, (pre, add) in sorted(ops.items())}
+
+
 def _check_state(blocks, facts):
-    """Structural invariants: each block in exactly one place, one held."""
+    """Reject facts that are not exactly one layout: each block on the table,
+    on one other block or in the hand, one block at most on each block and in
+    the hand, and `clear` and `handempty` where that layout puts them."""
     held = [b for b in blocks if f"holding({b})" in facts]
     if len(held) > 1:
         raise EnvError(f"more than one block held: {held}")
-    if held and "handempty" in facts:
-        raise EnvError("handempty while holding a block")
+    layout, above = set(), {}  # above: block -> the block on it
     for b in blocks:
-        places = int(f"ontable({b})" in facts) + int(b in held)
-        places += sum(1 for c in blocks if f"on({b},{c})" in facts)
-        if places != 1:
-            raise EnvError(f"block {b} is in {places} places")
+        under = [c for c in blocks if f"on({b},{c})" in facts]
+        places = [f for f in (f"ontable({b})", f"holding({b})") if f in facts]
+        places += [f"on({b},{c})" for c in under]
+        if len(places) != 1:
+            raise EnvError(f"block {b} is in {len(places)} places")
+        layout.add(places[0])
+        if under:
+            above[under[0]] = b
+    tower = [b for b in blocks if f"ontable({b})" in facts]
+    for b in tower:  # grows while it is walked, up every tower
+        if b in above:
+            tower.append(above[b])
+    lost = sorted(set(blocks) - set(tower) - set(held))
+    if lost:
+        raise EnvError(f"blocks {lost} are in no tower on the table")
+    layout |= {f"clear({b})" for b in blocks if b not in above and b not in held}
+    if not held:
+        layout.add("handempty")
+    wrong = sorted(layout ^ facts)
+    if wrong:
+        verdict = "missing from" if wrong[0] in layout else "false in"
+        raise EnvError(f"{wrong[0]} is {verdict} the layout")
 
 
 class BlocksworldEnv:
@@ -95,9 +144,11 @@ class BlocksworldEnv:
         self.failure_rate = failure_rate
         self.max_steps = 40
         _check_state(self.blocks, self.init_facts)
+        self._operators = operator_table(self.blocks)
         self._rng = np.random.default_rng(seed)
-        # (state, action_text) -> _outcome(...): a step is a pure function of
-        # the pair and the failure draw, so each pair is worked out once
+        # (state, action_text) -> (state if the action succeeds, done if it
+        # succeeds, done if it fails): a step is a pure function of the pair
+        # and the failure draw, so each pair is worked out once
         self._outcomes: dict[tuple[str, str], tuple[str, bool, bool]] = {}
 
     @classmethod
@@ -121,84 +172,32 @@ class BlocksworldEnv:
 
     def legal_actions(self, state: str) -> list[str]:
         facts = parse_facts(state)
-        acts = []
-        held = next((b for b in self.blocks if f"holding({b})" in facts), None)
-        if held is None:
-            for b in self.blocks:
-                if f"clear({b})" not in facts:
-                    continue
-                if f"ontable({b})" in facts:
-                    acts.append(f"pickup({b})")
-                else:
-                    under = next(c for c in self.blocks if f"on({b},{c})" in facts)
-                    acts.append(f"unstack({b},{under})")
-        else:
-            acts.append(f"putdown({held})")
-            for c in self.blocks:
-                if c != held and f"clear({c})" in facts:
-                    acts.append(f"stack({held},{c})")
-        return sorted(acts)
-
-    def _apply(self, facts: set[str], op: str, x: str, y: str | None) -> bool:
-        """Apply effects if preconditions hold; False means not applicable."""
-        if op == "pickup":
-            if not ({f"clear({x})", f"ontable({x})", "handempty"} <= facts):
-                return False
-            facts -= {f"clear({x})", f"ontable({x})", "handempty"}
-            facts.add(f"holding({x})")
-        elif op == "putdown":
-            if f"holding({x})" not in facts:
-                return False
-            facts.remove(f"holding({x})")
-            facts |= {f"ontable({x})", f"clear({x})", "handempty"}
-        elif op == "stack":
-            if not ({f"holding({x})", f"clear({y})"} <= facts):
-                return False
-            facts -= {f"holding({x})", f"clear({y})"}
-            facts |= {f"on({x},{y})", f"clear({x})", "handempty"}
-        else:  # unstack
-            if not ({f"on({x},{y})", f"clear({x})", "handempty"} <= facts):
-                return False
-            facts -= {f"on({x},{y})", f"clear({x})", "handempty"}
-            facts |= {f"holding({x})", f"clear({y})"}
-        return True
+        return [a for a, (pre, _) in self._operators.items() if pre <= facts]
 
     def step(self, state: str, action_text: str) -> tuple[str, float, bool]:
         key = (state, action_text)
         outcome = self._outcomes.get(key)
-        move = self._check_action(action_text) if outcome is None else None
+        if outcome is None:
+            op = self._operators.get(action_text.strip())
+            if op is None:
+                raise EnvError(f"unknown action {action_text!r} in state {state!r}; "
+                               f"legal: {self.legal_actions(state)}")
         # one draw per step, after the action is checked and before the state
         # is read, whether or not the action applies or its outcome is memoised
         failed = self._rng.random() < self.failure_rate
         if outcome is None:
-            outcome = self._outcomes[key] = self._outcome(state, *move)
+            pre, add = op
+            facts = parse_facts(state)
+            # an inapplicable action leaves the state unchanged either way
+            success = canonical((facts - pre) | add) if pre <= facts else state
+            outcome = self._outcomes[key] = (
+                success, self.goal_reached(success), self.goal_reached(state))
         next_state, done_if_success, done_if_failed = outcome
         if failed:
             next_state, done = state, done_if_failed
         else:
             done = done_if_success
         return next_state, (1.0 if done else 0.0), done
-
-    def _check_action(self, action_text: str) -> tuple[str, str, str | None]:
-        m = _ACTION_RE.match(action_text.strip())
-        if m is None:
-            raise EnvError(f"malformed action {action_text!r}")
-        op, x, y = m.group(1), m.group(2), m.group(3)
-        if (op in ("stack", "unstack")) != (y is not None):
-            raise EnvError(f"wrong arity for {op}: {action_text!r}")
-        if x not in self.blocks or (y is not None and y not in self.blocks):
-            raise EnvError(f"unknown block in {action_text!r}")
-        return op, x, y
-
-    def _outcome(self, state: str, op: str, x: str, y: str | None) -> tuple[str, bool, bool]:
-        """(state if the action succeeds, done if it succeeds, done if it fails).
-
-        An inapplicable action leaves the state unchanged either way.
-        """
-        facts = set(parse_facts(state))
-        success = canonical(facts) if self._apply(facts, op, x, y) else state
-        goal = self.goal_facts
-        return success, goal <= parse_facts(success), goal <= parse_facts(state)
 
 
 def random_goal_state(blocks, rng: np.random.Generator) -> frozenset[str]:

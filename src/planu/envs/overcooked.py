@@ -4,7 +4,9 @@ Three ingredients (tomato, lettuce, onion) move through raw -> on the
 cutting board -> in the bowl. Chop fails 20% of the time by default.
 Delivering the bowl with exactly the recipe's ingredients ends the episode
 with +1; a wrong delivery costs -0.1 and sends the wrong ingredients back
-to their initial raw position. Every macro step costs 0.001.
+to their initial raw position. Every macro step costs 0.001. `_legal` is
+the one statement of the preconditions: `step` rejects any action that
+`legal_actions` does not offer.
 """
 
 from __future__ import annotations
@@ -46,6 +48,21 @@ def _render(t: int, hand: str, board: str, status: dict) -> str:
     return " ".join(parts)
 
 
+def _legal(s: dict) -> list[str]:
+    """The actions a parsed state allows: the one statement of the rules."""
+    acts = []
+    if s["hand"] == "none":
+        acts += [f"get_{ing}" for ing in INGREDIENTS if s["status"][ing] == "raw"]
+        acts.append("get_bowl")
+    elif s["hand"] == "bowl":
+        acts.append("deliver")
+    elif s["board"] == "none":
+        acts.append("go_cutting_board")
+    if s["board"] != "none":
+        acts.append("chop")
+    return acts
+
+
 class OvercookedLiteEnv:
     """Single-cook kitchen at the macro-action level (no grid navigation)."""
 
@@ -66,52 +83,33 @@ class OvercookedLiteEnv:
         return _render(0, "none", "none", {ing: "raw" for ing in INGREDIENTS})
 
     def legal_actions(self, state: str) -> list[str]:
-        s = _parse(state)
-        acts = []
-        if s["hand"] == "none":
-            acts += [f"get_{ing}" for ing in INGREDIENTS if s["status"][ing] == "raw"]
-            acts.append("get_bowl")
-        elif s["hand"] == "bowl":
-            acts.append("deliver")
-        elif s["board"] == "none":
-            acts.append("go_cutting_board")
-        if s["board"] != "none":
-            acts.append("chop")
-        return sorted(acts)
+        return sorted(_legal(_parse(state)))
 
     def step(self, state: str, action_text: str) -> tuple[str, float, bool]:
         s = _parse(state)
+        legal = _legal(s)
+        if action_text not in legal:
+            raise EnvError(f"illegal action {action_text!r} in state {state!r}; "
+                           f"legal: {sorted(legal)}")
         hand, board, status = s["hand"], s["board"], dict(s["status"])
         t = s["t"] + 1
         r = -STEP_PENALTY
         done = False
 
-        if action_text.startswith("get_") and action_text != "get_bowl":
-            ing = action_text[4:]
-            if ing not in INGREDIENTS or hand != "none" or status[ing] != "raw":
-                raise EnvError(f"illegal action {action_text!r} in state {state!r}")
-            hand, status[ing] = ing, "held"
-        elif action_text == "get_bowl":
-            if hand != "none":
-                raise EnvError(f"hands full; cannot {action_text!r}")
+        if action_text == "get_bowl":
             hand = "bowl"
+        elif action_text.startswith("get_"):
+            hand = action_text[4:]
+            status[hand] = "held"
         elif action_text == "go_cutting_board":
-            if hand in ("none", "bowl"):
-                raise EnvError(f"nothing to put on the board in state {state!r}")
-            if board != "none":
-                raise EnvError("cutting board is occupied")
             board, status[hand], hand = hand, "on_board", "none"
         elif action_text == "chop":
-            if board == "none":
-                raise EnvError("nothing on the cutting board")
             if self._rng.random() >= self.chop_failure_rate:
                 status[board] = "in_bowl"
                 if board in self.target:
                     r += CHOP_REWARD
                 board = "none"
-        elif action_text == "deliver":
-            if hand != "bowl":
-                raise EnvError("must hold the bowl to deliver")
+        else:  # deliver
             in_bowl = {ing for ing in INGREDIENTS if status[ing] == "in_bowl"}
             if in_bowl == self.target:
                 r += DELIVER_REWARD
@@ -121,8 +119,6 @@ class OvercookedLiteEnv:
                 for ing in in_bowl - self.target:
                     status[ing] = "raw"
                 hand = "none"
-        else:
-            raise EnvError(f"unknown action {action_text!r}")
 
         if t >= EPISODE_LIMIT:
             done = True

@@ -16,6 +16,10 @@ ACTIONS = ("buy_a", "buy_b")
 PROFIT_B_PROB = 0.6
 
 
+def _legal(state: str) -> tuple[str, ...]:
+    return ACTIONS if state == INITIAL_STATE else ()
+
+
 class StockEnv:
     """Single-decision environment; both actions are terminal."""
 
@@ -29,13 +33,12 @@ class StockEnv:
         return INITIAL_STATE
 
     def legal_actions(self, state: str) -> list[str]:
-        if state != INITIAL_STATE:
-            return []
-        return list(ACTIONS)
+        return list(_legal(state))
 
     def step(self, state: str, action_text: str) -> tuple[str, float, bool]:
-        if state != INITIAL_STATE or action_text not in ACTIONS:
-            raise EnvError(f"illegal action {action_text!r} in state {state!r}")
+        if action_text not in _legal(state):
+            raise EnvError(f"illegal action {action_text!r} in state {state!r}; "
+                           f"legal: {list(_legal(state))}")
         if action_text == "buy_a":
             return "sold_a", 0.9, True
         if self._rng.random() < PROFIT_B_PROB:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,7 @@ from planu.envs import (
     parse_facts,
     parse_instance,
 )
-from planu.envs.blocksworld import _ACTION_RE, canonical
+from planu.envs.blocksworld import canonical, operator_table
 from planu.errors import EnvError
 
 
@@ -89,6 +91,24 @@ class TestBlocksworldParsing:
         with pytest.raises(EnvError):
             parse_instance("blocks: a b\ninit: ontable(a) ontable(b) clear(a) clear(b) handempty\n")
 
+    @pytest.mark.parametrize("blocks, init, goal, named", [
+        ("a a b", "ontable(a) ontable(b) clear(a) clear(b) handempty", "on(a,b)", "block a"),
+        ("a b", "ontable(a) ontable(b) ontable(z) clear(a) clear(b) handempty", "on(a,b)",
+         "ontable(z)"),
+        ("a b", "ontable(a) ontable(b) clear(a) clear(b) handempty", "on(a,c)", "on(a,c)"),
+        ("a b", "ontable(a) ontable(b) clear(a) clear(b) handempty", "on(a,a)", "on(a,a)"),
+        ("a b", "ontable(a) ontable(b) clear(a) clear(b)", "on(a,b)", "handempty"),
+        ("a b", "on(a,b) ontable(b) clear(a) clear(b) handempty", "on(b,a)", "clear(b)"),
+        ("a b", "on(a,b) ontable(b) handempty", "on(b,a)", "clear(a)"),
+        ("a b c", "on(a,b) on(b,a) ontable(c) clear(c) handempty", "on(c,a)", "['a', 'b']"),
+        ("a b c", "on(a,c) on(b,c) ontable(c) clear(a) clear(b) handempty", "on(c,a)", "['a']"),
+    ], ids=["duplicate-block", "init-names-unknown-block", "goal-names-unknown-block",
+            "goal-block-on-itself", "no-handempty", "false-clear", "missing-clear",
+            "cycle", "two-blocks-on-one"])
+    def test_malformed_instance_rejected(self, blocks, init, goal, named):
+        with pytest.raises(EnvError, match=re.escape(named)):
+            BlocksworldEnv.from_instance(f"blocks: {blocks}\ninit: {init}\ngoal: {goal}\n")
+
     def test_invalid_state_rejected_at_construction(self):
         with pytest.raises(EnvError):
             BlocksworldEnv(("a",), parse_facts("ontable(a) clear(a) holding(a)"),
@@ -156,18 +176,13 @@ class UnmemoisedBlocksworldEnv(BlocksworldEnv):
     memoised BlocksworldEnv.step must reproduce, outputs and draws alike."""
 
     def step(self, state, action_text):
-        m = _ACTION_RE.match(action_text.strip())
-        if m is None:
+        op = operator_table(self.blocks).get(action_text.strip())
+        if op is None:
             raise EnvError(f"malformed action {action_text!r}")
-        op, x, y = m.group(1), m.group(2), m.group(3)
-        if (op in ("stack", "unstack")) != (y is not None):
-            raise EnvError(f"wrong arity for {op}: {action_text!r}")
-        if x not in self.blocks or (y is not None and y not in self.blocks):
-            raise EnvError(f"unknown block in {action_text!r}")
         failed = self._rng.random() < self.failure_rate
-        facts = set(parse_facts(state))
-        applicable = self._apply(facts, op, x, y)
-        next_state = canonical(facts) if applicable and not failed else state
+        pre, add = op
+        facts = parse_facts(state)
+        next_state = canonical((facts - pre) | add) if pre <= facts and not failed else state
         done = self.goal_facts <= parse_facts(next_state)
         return next_state, (1.0 if done else 0.0), done
 
@@ -219,6 +234,8 @@ class TestMemoisedStep:
         env = BlocksworldEnv.from_instance(THREE_BLOCKS)
         assert len(STATES) == 22
         assert any(env.goal_reached(state) for state in STATES)
+        for state in STATES:  # each one a valid layout
+            BlocksworldEnv(env.blocks, parse_facts(state), env.goal_facts)
 
     @settings(max_examples=150, deadline=None)
     @given(steps=STEPS,
@@ -389,35 +406,57 @@ class TestOvercookedLite:
 
 
 BFS_DEPTH = 14
+# never offered by any env: self-stacks are well-formed blocks-world
+# actions that no valid state applies; the rest are malformed everywhere
+NEVER_OFFERED = ["stack(a,a)", "unstack(a,a)", "fly(a)", "pickup(a,b)", "stack(a)", "pickup(z)",
+                 "stack(a,z)", "juggle", "get_knife", "buy_c", ""]
 
 
 @pytest.mark.parametrize("rate", [0.0, 1.0])
 @pytest.mark.parametrize("name", list(ENVS))
 def test_every_offered_action_steps(name, rate):
-    """Breadth-first from reset: no state offers an action that step rejects.
+    """Breadth-first from reset: step accepts exactly what legal_actions offers.
 
+    Every offered action steps. An action the state does not offer raises,
+    except in blocks world, where a well-formed one leaves the state as it is.
     Failure rates 0 and 1 make every stochastic outcome deterministic, so
     the two searches together reach both outcomes of each risky action.
+    Blocks world also runs over the benchmark's 16 five-block instances.
     """
-    env = build_env(enumerate_runs({**DEFAULTS, "env": name, "failure_rate": rate,
-                                    "chop_failure_rate": rate})[0])
-    frontier = [env.reset(0)]
-    seen = set(frontier)
-    rejected = []
-    for _ in range(BFS_DEPTH):
-        reached = []
-        for state in frontier:
-            for action in env.legal_actions(state):
-                try:
-                    nxt, _, done = env.step(state, action)
-                except EnvError as exc:
-                    rejected.append((state, action, str(exc)))
-                    continue
-                if not done and nxt not in seen:
-                    seen.add(nxt)
-                    reached.append(nxt)
-        frontier = reached
-    assert rejected == []
+    envs = [build_env(enumerate_runs({**DEFAULTS, "env": name, "failure_rate": rate,
+                                      "chop_failure_rate": rate})[0])]
+    if name == "blocksworld":
+        envs += [generate_instance(8, 5, failure_rate=rate, seed=1000 + i) for i in range(16)]
+    for env in envs:
+        frontier = [env.reset(0)]
+        seen = set(frontier)
+        offered = {}
+        rejected = []
+        for _ in range(BFS_DEPTH):
+            reached = []
+            for state in frontier:
+                offered[state] = env.legal_actions(state)
+                for action in offered[state]:
+                    try:
+                        nxt, _, done = env.step(state, action)
+                    except EnvError as exc:
+                        rejected.append((state, action, str(exc)))
+                        continue
+                    if not done and nxt not in seen:
+                        seen.add(nxt)
+                        reached.append(nxt)
+            frontier = reached
+        assert rejected == []
+
+        well_formed = operator_table(env.blocks) if name == "blocksworld" else {}
+        actions = {a for acts in offered.values() for a in acts} | set(NEVER_OFFERED)
+        for state, acts in offered.items():
+            for action in sorted(actions - set(acts)):
+                if action in well_formed:
+                    assert env.step(state, action) == (state, 0.0, False)
+                else:
+                    with pytest.raises(EnvError, match="; legal: "):
+                        env.step(state, action)
 
 
 class TestDeterministicized:
