@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import os
+import shutil
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -25,21 +27,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import validate_config
-from .errors import ConfigError, PlanuError
+from .errors import ConfigError
 from .envs import ENVS, generate_instance  # noqa: F401 - unused; searchbench/tracing.py patches it
-from .planner import (
-    CONFIG_FIELDS,
-    VARIANTS,
-    PlannerConfig,
-    SearchResult,
-    rollout_recommended,
-    run_search,
-)
+from .planner import CONFIG_FIELDS, VARIANTS, PlannerConfig, rollout_recommended, run_search
 from .tree import snapshot
 
 SCHEMA_VERSION = 2
 EVAL_EPISODES = 5
 EVAL_SEED_OFFSET = 10_000
+# a failed run's row keeps its run fields and leaves the metrics empty
+SUMMARY_COLUMNS = ("run_id", "env", "failure_rate", "variant", "seed", "instance",
+                   "success", "return", "iterations_to_first_success")
 
 
 def eval_seed(seed: int, episode: int) -> int:
@@ -59,39 +57,19 @@ class RunSpec:
 
 
 def enumerate_runs(cfg: dict) -> list[RunSpec]:
-    """Deterministic, ordered Cartesian product of the sweep axes."""
+    """Deterministic, ordered Cartesian product of the sweep axes: the
+    (failure rate, instance) places of an env with instance axes, then
+    variants, then seeds."""
     env = cfg["env"]
-    instance_axes = ENVS[env].instance_axes
-    frs: list[float | None]
-    if instance_axes:
+    places = [(None, 0)]
+    if ENVS[env].instance_axes:
         fr = cfg["failure_rate"]
-        frs = list(fr) if isinstance(fr, list) else [fr]
-        instances = range(cfg["instances"])
-    else:
-        frs = [None]
-        instances = range(1)
+        places = itertools.product(fr if isinstance(fr, list) else [fr], range(cfg["instances"]))
     specs = []
-    for fr in frs:
-        for inst in instances:
-            for variant in cfg["variants"]:
-                for seed in cfg["seeds"]:
-                    parts = [env]
-                    if fr is not None:
-                        parts.append(f"fr{fr:g}")
-                    if instance_axes:
-                        parts.append(f"i{inst:02d}")
-                    parts += [variant, f"s{seed}"]
-                    specs.append(
-                        RunSpec(
-                            run_id="-".join(parts),
-                            env=env,
-                            failure_rate=fr,
-                            variant=variant,
-                            seed=seed,
-                            instance_index=inst,
-                            config=cfg,
-                        )
-                    )
+    for (fr, inst), variant, seed in itertools.product(places, cfg["variants"], cfg["seeds"]):
+        place = [] if fr is None else [f"fr{fr:g}", f"i{inst:02d}"]
+        run_id = "-".join([env, *place, variant, f"s{seed}"])
+        specs.append(RunSpec(run_id, env, fr, variant, seed, inst, cfg))
     return specs
 
 
@@ -105,11 +83,6 @@ def planner_config(spec: RunSpec) -> PlannerConfig:
     params = {f.name: spec.config[f.name] for f in CONFIG_FIELDS}
     params.update({name: getattr(kind, name) for name, v in params.items() if v is None})
     return PlannerConfig(**params, variant=spec.variant, seed=spec.seed)
-
-
-def _first_success_iteration(spec: RunSpec, result: SearchResult) -> int | None:
-    solved = ENVS[spec.env].solved
-    return next((t.index + 1 for t in result.traces if solved(t)), None)
 
 
 def _record_head(spec: RunSpec) -> dict:
@@ -128,31 +101,25 @@ def _record_head(spec: RunSpec) -> dict:
 def execute_run(spec: RunSpec) -> dict:
     """Run one search plus evaluation episodes; returns the run record."""
     start = time.perf_counter()
+    kind = ENVS[spec.env]
     env = build_env(spec)
     result = run_search(env, None, planner_config(spec))
-
-    returns = []
-    reached = []
-    for episode in range(EVAL_EPISODES):
-        total, done, _ = rollout_recommended(env, result.tree, seed=eval_seed(spec.seed, episode))
-        returns.append(total)
-        reached.append(done and total > 0.5)
-    realized = float(np.mean(returns))
-
-    kind = ENVS[spec.env]
-    success = reached[0] if kind.judged_by_rollout else kind.solved(result.traces[-1])
-
-    first = _first_success_iteration(spec, result)
+    rollouts = [
+        rollout_recommended(env, result.tree, seed=eval_seed(spec.seed, episode))
+        for episode in range(EVAL_EPISODES)
+    ]
+    total, done, _ = rollouts[0]
+    success = (done and total > 0.5) if kind.judged_by_rollout else kind.solved(result.traces[-1])
     return {
         **_record_head(spec),
         "success": bool(success),
-        "return": realized,
-        "iterations_to_first_success": first,
+        "return": float(np.mean([total for total, _, _ in rollouts])),
+        "iterations_to_first_success": next(
+            (t.index + 1 for t in result.traces if kind.solved(t)), None
+        ),
         "recommended": result.recommended_action,
-        "root_means": {
-            a.action_text: a.mean_value() for a in result.tree.root.actions
-        },
-        "config": {k: v for k, v in sorted(spec.config.items())},
+        "root_means": {a.action_text: a.mean_value() for a in result.tree.root.actions},
+        "config": dict(sorted(spec.config.items())),
         "wall_time": time.perf_counter() - start,
         "tree": snapshot(result.tree),
         "iterations": [
@@ -181,8 +148,7 @@ def _write_run_artifacts(record: dict, out_dir: str) -> None:
     run_id = record["run_id"]
     with open(os.path.join(out_dir, f"{run_id}.trace.jsonl"), "w", encoding="utf-8") as fh:
         header = {k: v for k, v in record.items() if k not in ("iterations", "tree")}
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for line in record.get("iterations", []):
+        for line in [header, *record.get("iterations", [])]:
             fh.write(json.dumps(line, sort_keys=True) + "\n")
     if "tree" in record:
         with open(os.path.join(out_dir, f"{run_id}.tree.json"), "w", encoding="utf-8") as fh:
@@ -213,22 +179,13 @@ def run_sweep(cfg: dict) -> tuple[list[dict], list[str]]:
         records = [_safe_execute(spec) for spec in specs]
 
     out_dir = cfg["out_dir"]
-    os.makedirs(out_dir, exist_ok=True)
     for record in records:
         _write_run_artifacts(record, out_dir)
 
     with open(os.path.join(out_dir, "summary.csv"), "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["run_id", "env", "failure_rate", "variant", "seed", "instance",
-             "success", "return", "iterations_to_first_success"]
-        )
-        for r in records:
-            writer.writerow(
-                [r["run_id"], r["env"], _fmt(r["failure_rate"]), r["variant"], r["seed"],
-                 r["instance"], _fmt(r.get("success")), _fmt(r.get("return")),
-                 _fmt(r.get("iterations_to_first_success"))]
-            )
+        writer.writerow(SUMMARY_COLUMNS)
+        writer.writerows([_fmt(r.get(c)) for c in SUMMARY_COLUMNS] for r in records)
 
     groups: dict[tuple, list[dict]] = {}
     for r in records:
@@ -241,30 +198,24 @@ def run_sweep(cfg: dict) -> tuple[list[dict], list[str]]:
         )
         for key in sorted(groups, key=lambda k: (k[0], -1.0 if k[1] is None else k[1], k[2])):
             rs = [r for r in groups[key] if "error" not in r]
+            stats = [None] * 3
             if rs:
-                rates = [float(r["success"]) for r in rs]
                 rets = [r["return"] for r in rs]
-                row = [len(rs), _fmt(float(np.mean(rates))),
-                       _fmt(float(np.mean(rets))), _fmt(float(np.std(rets)))]
-            else:
-                row = [0, "", "", ""]
-            writer.writerow([key[0], _fmt(key[1]), key[2], *row])
+                stats = [np.mean([float(r["success"]) for r in rs]), np.mean(rets), np.std(rets)]
+            writer.writerow([key[0], _fmt(key[1]), key[2], len(rs), *map(_fmt, stats)])
 
     errors = [f"{r['run_id']}: {r['error']}" for r in records if "error" in r]
     return records, errors
 
 
 def _overrides(args) -> dict:
-    over = {}
-    if args.seed is not None:
-        over["seeds"] = [args.seed]
-    if args.env is not None:
-        over["env"] = args.env
-    if args.variant is not None:
-        over["variants"] = [args.variant]
-    if args.out is not None:
-        over["out_dir"] = args.out
-    return over
+    over = {
+        "seeds": None if args.seed is None else [args.seed],
+        "env": args.env,
+        "variants": None if args.variant is None else [args.variant],
+        "out_dir": args.out,
+    }
+    return {k: v for k, v in over.items() if v is not None}
 
 
 def _cmd_run(args) -> int:
@@ -287,8 +238,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    cfg = validate_config(args.config)
-    print(json.dumps(cfg, indent=2, sort_keys=True))
+    print(json.dumps(validate_config(args.config), indent=2, sort_keys=True))
     return 0
 
 
@@ -297,13 +247,11 @@ def _cmd_export_tree(args) -> int:
     if not os.path.exists(path):
         print(f"no tree snapshot for run {args.run!r} under {args.dir}", file=sys.stderr)
         return 1
-    with open(path, encoding="utf-8") as fh:
-        content = fh.read()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(content)
+        shutil.copyfile(path, args.out)
     else:
-        print(content)
+        with open(path, encoding="utf-8") as fh:
+            print(fh.read())
     return 0
 
 
@@ -312,20 +260,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run a single search")
-    p_run.add_argument("--config", required=True)
+    p_sweep = sub.add_parser("sweep", help="run the configured sweep grid")
+    p_val = sub.add_parser("validate", help="validate a config file")
+    for p, func in ((p_run, _cmd_run), (p_sweep, _cmd_sweep), (p_val, _cmd_validate)):
+        p.add_argument("--config", required=True)
+        p.set_defaults(func=func)
     p_run.add_argument("--seed", type=int)
     p_run.add_argument("--env", choices=list(ENVS))
     p_run.add_argument("--variant", choices=list(VARIANTS))
     p_run.add_argument("--out")
-    p_run.set_defaults(func=_cmd_run)
-
-    p_sweep = sub.add_parser("sweep", help="run the configured sweep grid")
-    p_sweep.add_argument("--config", required=True)
-    p_sweep.set_defaults(func=_cmd_sweep)
-
-    p_val = sub.add_parser("validate", help="validate a config file")
-    p_val.add_argument("--config", required=True)
-    p_val.set_defaults(func=_cmd_validate)
 
     p_exp = sub.add_parser("export-tree", help="print a stored tree snapshot")
     p_exp.add_argument("--run", required=True)
@@ -343,9 +286,6 @@ def main(argv=None) -> int:
         for diag in exc.diagnostics:
             print(f"config error: {diag}", file=sys.stderr)
         return 2
-    except PlanuError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -170,48 +170,37 @@ def validate_config(path: str, overrides: dict | None = None) -> dict:
     for key in ("seeds", "variants"):
         if key in values and not isinstance(values[key], list):
             values[key] = [values[key]]
-
-    def where(key):
-        return f"line {lines_of[key]}: " if key in lines_of else ""
-
-    def source(key):
-        return "override: " if (overrides or {}).get(key) == merged[key] else where(key)
-
-    for key, value in values.items():
-        problem = _key_problem(key, value, where(key))
-        if problem:
-            diagnostics.append(problem)
-    merged = {**DEFAULTS, **{k: v for k, v in values.items() if k in SCHEMA}}
-    for key, value in (overrides or {}).items():
-        if value is None:
-            continue
-        problem = _key_problem(key, value, "override: ")
+    given = [(key, value, f"line {lines_of[key]}: " if key in lines_of else "")
+             for key, value in values.items()]
+    given += [(key, value, "override: ") for key, value in (overrides or {}).items()]
+    merged, where = dict(DEFAULTS), {}  # where: key -> the origin of its accepted value
+    for key, value, origin in given:
+        problem = _key_problem(key, value, origin)
         if problem:
             diagnostics.append(problem)
         else:
-            merged[key] = value
+            merged[key], where[key] = value, origin
     instance_file = merged.get("instance_file")
-    if _PATH.check(instance_file):
+    if instance_file:
         _, problem = _read_text(instance_file, repr(instance_file))
         if problem:
-            diagnostics.append(f"{source('instance_file')}key 'instance_file': {problem}")
+            diagnostics.append(f"{where['instance_file']}key 'instance_file': {problem}")
     # a repeated value on a sweep axis would run one grid point twice under one
     # run id; failure rates are compared as the run id prints them
     for key, label in (("seeds", repr), ("variants", repr), ("failure_rate", "{:g}".format)):
         value = merged[key]
-        if isinstance(value, list) and SCHEMA[key].check(value):
+        if isinstance(value, list):
             labels = [label(v) for v in value]
             repeated = sorted({x for x in labels if labels.count(x) > 1})
             if repeated:
                 diagnostics.append(
-                    f"{source(key)}key {key!r}: expected distinct values, got {value!r} "
+                    f"{where[key]}key {key!r}: expected distinct values, got {value!r} "
                     f"(repeated: {', '.join(repeated)})"
                 )
-    instances = merged["instances"]
-    if instance_file and is_int(instances) and instances > 1:
+    if instance_file and merged["instances"] > 1:
         diagnostics.append(
-            f"{where('instances')}key 'instances': expected 1 with instance_file, which "
-            f"fixes the one instance, got {instances!r}"
+            f"{where['instances']}key 'instances': expected 1 with instance_file, which "
+            f"fixes the one instance, got {merged['instances']!r}"
         )
     if diagnostics:
         raise ConfigError(diagnostics)

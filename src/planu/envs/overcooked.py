@@ -29,17 +29,40 @@ RECIPES = {
 }
 
 
+# the values each field of a state takes, but t, which is an integer >= 0
+VALUES = {"hand": ("none", "bowl", *INGREDIENTS), "board": ("none", *INGREDIENTS),
+          **dict.fromkeys(INGREDIENTS, ("raw", "held", "on_board", "in_bowl"))}
+FIELDS = ("t", *VALUES)
+
+
 def _parse(state: str) -> dict:
-    fields = dict(tok.split("=", 1) for tok in state.split())
-    try:
-        return {
-            "t": int(fields["t"]),
-            "hand": fields["hand"],
-            "board": fields["board"],
-            "status": {ing: fields[ing] for ing in INGREDIENTS},
-        }
-    except KeyError as exc:
-        raise EnvError(f"malformed state {state!r}") from exc
+    """The fields of a state. Raises EnvError, naming the state, unless it
+    gives each field once and within its values, and the hand and the board
+    hold exactly the ingredients marked `held` and `on_board`."""
+    malformed = f"malformed state {state!r}: "
+    fields = {}
+    for tok in state.split():
+        key, sep, value = tok.partition("=")
+        if not sep:
+            raise EnvError(f"{malformed}{tok!r} is not field=value")
+        if key not in FIELDS or key in fields:
+            raise EnvError(f"{malformed}field {key!r} is "
+                           f"{'repeated' if key in fields else 'unknown'}")
+        fields[key] = value
+    missing = [key for key in FIELDS if key not in fields]
+    if missing:
+        raise EnvError(f"{malformed}fields {missing} are missing")
+    if not fields["t"].isdecimal():
+        raise EnvError(f"{malformed}t={fields['t']} is not an integer >= 0")
+    for key, allowed in VALUES.items():
+        if fields[key] not in allowed:
+            raise EnvError(f"{malformed}{key}={fields[key]} is not one of {allowed}")
+    hand, board = fields["hand"], fields["board"]
+    status = {ing: fields[ing] for ing in INGREDIENTS}
+    for ing, s in status.items():
+        if (s == "held") != (hand == ing) or (s == "on_board") != (board == ing):
+            raise EnvError(f"{malformed}{ing}={s} disagrees with hand={hand} board={board}")
+    return {"t": int(fields["t"]), "hand": hand, "board": board, "status": status}
 
 
 def _render(t: int, hand: str, board: str, status: dict) -> str:

@@ -34,12 +34,10 @@ def at_least(lo: int) -> Rule:
     return Rule(lambda x: is_int(x) and x >= lo, f"integer >= {lo}")
 
 
-def real(lo: float, hi: float | None = None, lo_open: bool = False) -> Rule:
+def real(lo: float, hi: float, lo_open: bool = False) -> Rule:
     def check(x):
-        return is_finite_num(x) and (x > lo if lo_open else x >= lo) and (hi is None or x <= hi)
+        return is_finite_num(x) and (x > lo if lo_open else x >= lo) and x <= hi
 
-    if hi is None:
-        return Rule(check, f"finite real {'>' if lo_open else '>='} {lo:g}")
     return Rule(check, f"finite real in {'(' if lo_open else '['}{lo:g}, {hi:g}]")
 
 

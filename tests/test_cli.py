@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -265,6 +266,51 @@ class TestMain:
         doc = json.loads(capsys.readouterr().out)
         assert "root" in doc
 
+    def test_export_tree_out_writes_stored_bytes(self, tmp_path, capsys):
+        out = tmp_path / "runs"
+        assert main(["run", "--config", write(tmp_path, STOCK_CFG), "--out", str(out)]) == 0
+        capsys.readouterr()
+        copy = tmp_path / "copy.json"
+        args = ["export-tree", "--run", "stock-full-s0", "--dir", str(out), "--out", str(copy)]
+        assert main(args) == 0
+        assert capsys.readouterr().out == ""
+        assert copy.read_bytes() == (out / "stock-full-s0.tree.json").read_bytes()
+
+    def test_sweep_with_failing_run_exit_1(self, tmp_path, capsys):
+        # the instance file is readable, so it passes validation, but no
+        # instance: each run fails when it builds its env
+        bad = write(tmp_path, "garbage\n", "inst.txt")
+        out = tmp_path / "runs"
+        cfg_path = write(tmp_path, f"env = blocksworld\nfailure_rate = 0, 0.2\niterations = 5\n"
+                                   f"instance_file = {bad}\nout_dir = {out}\nparallelism = 1\n")
+        assert main(["sweep", "--config", cfg_path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == f"completed 0/2 runs -> {out}\n"
+        assert captured.err == "".join(
+            f"error: blocksworld-fr{fr}-i00-full-s0: EnvError: unknown instance line 'garbage'\n"
+            for fr in ("0", "0.2")
+        )
+        assert len((out / "summary.csv").read_text(encoding="utf-8").splitlines()) == 1 + 2
+
     def test_export_tree_missing_run_exit_1(self, tmp_path, capsys):
         assert main(["export-tree", "--run", "nope", "--dir", str(tmp_path)]) == 1
         assert "no tree snapshot" in capsys.readouterr().err
+
+
+# sha256 of every byte a stock sweep and a blocks-world sweep write, less each
+# trace's header line (it carries the measured wall time and the out_dir)
+ARTIFACTS_SHA256 = "28a7289a0572524cca3704c268485e8be37c59b4ddf811ac545a0c8a939037a5"
+
+
+def test_sweep_artifacts_pinned(tmp_path):
+    digest = hashlib.sha256()
+    for name, text in (("stock", STOCK_CFG), ("blocksworld", BW_CFG)):
+        out = tmp_path / name
+        _, errors = run_sweep(load_cfg(tmp_path, text, out_dir=str(out), parallelism=1))
+        assert errors == []
+        for path in sorted(out.iterdir()):
+            data = path.read_bytes()
+            if path.name.endswith(".trace.jsonl"):
+                data = data.split(b"\n", 1)[1]
+            digest.update(f"{name}/{path.name}\n".encode() + data)
+    assert digest.hexdigest() == ARTIFACTS_SHA256

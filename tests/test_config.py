@@ -103,6 +103,14 @@ class TestValidateConfig:
         with pytest.raises(ConfigError):
             validate_config(path)
 
+    def test_json_config_must_be_an_object(self, tmp_path, capsys):
+        path = write(tmp_path, '["env", "stock"]', "c.json")
+        with pytest.raises(ConfigError) as err:
+            validate_config(path)
+        assert err.value.diagnostics == ["line 1: JSON config must be an object"]
+        assert main(["validate", "--config", path]) == 2
+        assert capsys.readouterr().err == "config error: line 1: JSON config must be an object\n"
+
     def test_failure_rate_list_normalized_to_floats(self, tmp_path):
         cfg = validate_config(write(tmp_path, "env = blocksworld\nfailure_rate = 0, 0.2\n"))
         assert cfg["failure_rate"] == [0.0, 0.2]
@@ -131,6 +139,14 @@ class TestValidateConfig:
         assert err.value.diagnostics == [
             "line 3: key 'instances': expected 1 with instance_file, which fixes the one "
             "instance, got 3"
+        ]
+
+    def test_cross_key_checks_read_only_accepted_values(self, tmp_path):
+        # a rejected instance_file fixes no instance, so instances = 3 is not reported
+        with pytest.raises(ConfigError) as err:
+            validate_config(write(tmp_path, "env = blocksworld\ninstance_file = 5\ninstances = 3\n"))
+        assert err.value.diagnostics == [
+            "line 2: key 'instance_file': expected nonempty path, got 5"
         ]
 
     def test_instance_file_must_be_readable(self, tmp_path):

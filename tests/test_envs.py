@@ -102,12 +102,22 @@ class TestBlocksworldParsing:
         ("a b", "on(a,b) ontable(b) handempty", "on(b,a)", "clear(a)"),
         ("a b c", "on(a,b) on(b,a) ontable(c) clear(c) handempty", "on(c,a)", "['a', 'b']"),
         ("a b c", "on(a,c) on(b,c) ontable(c) clear(a) clear(b) handempty", "on(c,a)", "['a']"),
+        ("a b", "holding(a) holding(b)", "on(a,b)", "more than one block held: ['a', 'b']"),
     ], ids=["duplicate-block", "init-names-unknown-block", "goal-names-unknown-block",
             "goal-block-on-itself", "no-handempty", "false-clear", "missing-clear",
-            "cycle", "two-blocks-on-one"])
+            "cycle", "two-blocks-on-one", "two-blocks-held"])
     def test_malformed_instance_rejected(self, blocks, init, goal, named):
         with pytest.raises(EnvError, match=re.escape(named)):
             BlocksworldEnv.from_instance(f"blocks: {blocks}\ninit: {init}\ngoal: {goal}\n")
+
+    def test_unknown_instance_line_raises(self):
+        with pytest.raises(EnvError, match=re.escape("unknown instance line 'start: a'")):
+            parse_instance(SIMPLE_INSTANCE + "start: a\n")
+
+    @pytest.mark.parametrize("rate", [-0.1, 1.5, float("nan")])
+    def test_failure_rate_outside_unit_interval_raises(self, rate):
+        with pytest.raises(ValueError, match="failure_rate must be in"):
+            BlocksworldEnv.from_instance(SIMPLE_INSTANCE, failure_rate=rate)
 
     def test_invalid_state_rejected_at_construction(self):
         with pytest.raises(EnvError):
@@ -389,6 +399,41 @@ class TestOvercookedLite:
         for bad in ("chop", "deliver", "go_cutting_board", "juggle"):
             with pytest.raises(EnvError):
                 env.step(state, bad)
+
+    @pytest.mark.parametrize("rate", [-0.1, 1.5, float("nan")])
+    def test_chop_failure_rate_outside_unit_interval_raises(self, rate):
+        with pytest.raises(ValueError, match="chop_failure_rate must be in"):
+            OvercookedLiteEnv(chop_failure_rate=rate)
+
+    # a state -> what its diagnostic must name
+    @pytest.mark.parametrize("state, named", [
+        ("garbage", "'garbage' is not field=value"),
+        ("t=0 hand=none board=none tomato=raw lettuce=raw", "fields ['onion'] are missing"),
+        ("t=0 t=1 hand=none board=none tomato=raw lettuce=raw onion=raw", "field 't' is repeated"),
+        ("t=0 hand=none board=none tomato=raw lettuce=raw onion=raw knife=raw",
+         "field 'knife' is unknown"),
+        ("t=x hand=none board=none tomato=raw lettuce=raw onion=raw", "t=x is not an integer"),
+        ("t=-1 hand=none board=none tomato=raw lettuce=raw onion=raw", "t=-1 is not an integer"),
+        ("t=0 hand=knife board=none tomato=raw lettuce=raw onion=raw", "hand=knife is not one of"),
+        ("t=0 hand=none board=bowl tomato=raw lettuce=raw onion=raw", "board=bowl is not one of"),
+        ("t=0 hand=none board=none tomato=chopped lettuce=raw onion=raw",
+         "tomato=chopped is not one of"),
+        ("t=0 hand=none board=none tomato=held lettuce=raw onion=raw",
+         "tomato=held disagrees with hand=none"),
+        ("t=0 hand=tomato board=none tomato=raw lettuce=raw onion=raw",
+         "tomato=raw disagrees with hand=tomato"),
+        ("t=0 hand=none board=none tomato=raw lettuce=on_board onion=raw",
+         "lettuce=on_board disagrees with hand=none board=none"),
+        ("t=0 hand=none board=onion tomato=raw lettuce=raw onion=in_bowl",
+         "onion=in_bowl disagrees with hand=none board=onion"),
+    ], ids=["no-equals", "missing-field", "repeated-field", "unknown-field", "t-not-integer",
+            "t-negative", "hand-unknown", "board-unknown", "status-unknown", "held-not-in-hand",
+            "in-hand-not-held", "on-board-not-on-board", "on-board-not-marked"])
+    def test_malformed_state_rejected(self, state, named):
+        env = OvercookedLiteEnv()
+        for call in (env.legal_actions, lambda s: env.step(s, "get_bowl")):
+            with pytest.raises(EnvError, match=re.escape(f"malformed state {state!r}: {named}")):
+                call(state)
 
     def test_unknown_recipe_raises(self):
         with pytest.raises(ValueError):

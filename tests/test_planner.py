@@ -6,6 +6,7 @@ import pytest
 
 from planu import planner
 from planu.envs import StockEnv, generate_instance
+from planu.errors import SearchError
 from planu.novelty import TRAIN_EVERY, NetworkPair, RndModel
 from planu.planner import (
     VARIANTS,
@@ -189,6 +190,27 @@ class TestRunSearch:
         root = result.tree.root
         sizes = [len(repr(node)) for node in (root, *root.actions)]
         assert max(sizes) < 4_000
+
+    @pytest.mark.parametrize("raised, message", [
+        (RuntimeError("boom"), "iteration 2 failed: boom"),
+        (SearchError("bad node"), "bad node"),
+    ], ids=["wrapped", "passed-through"])
+    def test_iteration_error_raised_as_search_error(self, raised, message):
+        # searchbench counts the failed searches by SearchError
+        env = StockEnv()
+        step, calls = env.step, []
+
+        def failing_step(state, action_text):
+            calls.append(action_text)
+            if len(calls) == 3:
+                raise raised
+            return step(state, action_text)
+
+        env.step = failing_step
+        with pytest.raises(SearchError) as err:
+            run_search(env, None, PlannerConfig(iterations=10, seed=0))
+        assert str(err.value) == message
+        assert raised in (err.value, err.value.__cause__)
 
     def test_deterministic_baseline_prefers_risky_stock_action(self):
         # the mode-outcome wrapper hides the 40% zero outcome of the risky
