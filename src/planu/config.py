@@ -180,7 +180,8 @@ def validate_config(path: str, overrides: dict | None = None) -> dict:
             diagnostics.append(problem)
         else:
             merged[key], where[key] = value, origin
-    instance_file = merged.get("instance_file")
+    # only an env with instance axes reads instance_file and instances
+    instance_file = ENVS[merged["env"]].instance_axes and merged.get("instance_file")
     if instance_file:
         _, problem = _read_text(instance_file, repr(instance_file))
         if problem:

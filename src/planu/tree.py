@@ -5,7 +5,8 @@ distribution (or a scalar running mean in the ablated form), a prior, a
 visit count, and one child state node per observed stochastic outcome.
 Below the root, one node stands for each state text. Selection maximizes
 the mean return plus a curiosity bonus; backups run quantile-regression
-updates along the traversed path.
+updates along the traversed path, one per action node however often the
+path passes it.
 """
 
 from __future__ import annotations
@@ -158,13 +159,21 @@ def _first_max(scores: list[float]) -> int:
 
 
 def backpropagate(path: list[PathStep]) -> None:
-    """Update every action node on the path, from the last step backward.
+    """Update every action node on the path once, from the last step backward.
 
     The final step's target set is {r}; an interior step's targets are
     r + GAMMA * theta'_j over the successor action node's quantiles (the
     action actually taken next on this path). Each node's per-visit update
     step decays as QR_STEP / N**STEP_DECAY so early backups move fast and
     late estimates settle as visits accumulate.
+
+    A path can pass one action node several times, as when a failed action
+    leaves its state unchanged and the descent tries it again. Every pass
+    counts a visit of the node and of its state, but only the deepest pass,
+    the first one met walking backward, updates the node, with the step of
+    its visit count at that pass. A shallower pass of the node leaves it as
+    it is, and the step before targets its fresh values. The scalar mode
+    follows the same rule.
     """
     if not path:
         raise SearchError("backpropagate on an empty path")
@@ -172,23 +181,26 @@ def backpropagate(path: list[PathStep]) -> None:
         if ps.next_state is not path[t + 1].state:
             raise SearchError(f"path is not parent-linked at step {t}")
     after = None  # the action node of the step after ps on the path
+    updated: set[int] = set()  # ids of the action nodes this backup has updated
     for ps in reversed(path):
         a = ps.action
         a.visits += 1
         ps.state.visits += 1
-        if a.z is not None:
-            if after is None:
-                targets = np.array([ps.reward])
+        if id(a) not in updated:
+            updated.add(id(a))
+            if a.z is not None:
+                if after is None:
+                    targets = np.array([ps.reward])
+                else:
+                    targets = GAMMA * after.z.values
+                    targets += ps.reward
+                a.z = qr_update(a.z, targets, step=QR_STEP / a.visits**STEP_DECAY, kappa=KAPPA)
             else:
-                targets = GAMMA * after.z.values
-                targets += ps.reward
-            a.z = qr_update(a.z, targets, step=QR_STEP / a.visits**STEP_DECAY, kappa=KAPPA)
-        else:
-            if after is None:
-                target = ps.reward
-            else:
-                target = ps.reward + GAMMA * after.mean_value()
-            a.value += (target - a.value) / a.visits
+                if after is None:
+                    target = ps.reward
+                else:
+                    target = ps.reward + GAMMA * after.mean_value()
+                a.value += (target - a.value) / a.visits
         after = a
 
 

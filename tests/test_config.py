@@ -141,6 +141,13 @@ class TestValidateConfig:
             "instance, got 3"
         ]
 
+    @pytest.mark.parametrize("env", ["stock", "overcooked"])
+    def test_envs_without_instance_axes_ignore_the_instance_keys(self, env, tmp_path):
+        path = write(tmp_path, f"env = {env}\ninstance_file = nowhere.txt\ninstances = 3\n")
+        cfg = validate_config(path)
+        assert (cfg["instance_file"], cfg["instances"]) == ("nowhere.txt", 3)
+        assert main(["validate", "--config", path]) == 0
+
     def test_cross_key_checks_read_only_accepted_values(self, tmp_path):
         # a rejected instance_file fixes no instance, so instances = 3 is not reported
         with pytest.raises(ConfigError) as err:

@@ -4,7 +4,7 @@ from dataclasses import fields
 
 import pytest
 
-from planu import planner
+from planu import planner, tree
 from planu.envs import StockEnv, generate_instance
 from planu.errors import SearchError
 from planu.novelty import TRAIN_EVERY, NetworkPair, RndModel
@@ -182,6 +182,36 @@ class TestRunSearch:
         assert n["train"] == (60 - 1) // TRAIN_EVERY
         assert n["forward"] <= distinct + n["train"]
         assert distinct < n["score"]  # the search does score states again
+
+    def test_backup_updates_each_action_node_once_per_iteration(self, monkeypatch):
+        # at failure rate 0.4 a failed action often returns to its own state,
+        # so a path passes one action node several times
+        updates = []
+        qr_update = tree.qr_update
+
+        def counted_qr_update(*args, **kwargs):
+            updates.append(None)
+            return qr_update(*args, **kwargs)
+
+        backups = []  # (path length, distinct action nodes, qr_update calls) per iteration
+        backpropagate = planner.backpropagate
+
+        def recorded_backpropagate(path):
+            before = len(updates)
+            backpropagate(path)
+            backups.append((len(path), len({id(ps.action) for ps in path}), len(updates) - before))
+
+        monkeypatch.setattr(tree, "qr_update", counted_qr_update)
+        monkeypatch.setattr(planner, "backpropagate", recorded_backpropagate)
+        env = generate_instance(6, 4, failure_rate=0.4, seed=1_000)
+        result = run_search(env, None, PlannerConfig(iterations=60, depth_limit=14, seed=0))
+        assert len(backups) == 60
+        assert [calls for _, _, calls in backups] == [distinct for _, distinct, _ in backups]
+        assert any(length > distinct for length, distinct, _ in backups)  # repeats occur
+        # every pass still counts a visit
+        assert result.tree.root.visits == 60
+        for s in result.tree.nodes():
+            assert s.visits == sum(a.visits for a in s.actions)
 
     def test_node_reprs_stay_small(self):
         # a node's repr leaves out its subtree: children and actions

@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-DIGEST_20 = "bd261062d50cfa952068341d86e465c11b6b37bec07b4eb53d8714be1d4c2646"
+DIGEST_20 = "1991db38360f0c9e884722f335be5afa41bb72f076e6c41a0e96a09c5a338ceb"
 
 
 def test_result_digest_unchanged():

@@ -15,7 +15,6 @@ from planu.tree import (
     KAPPA,
     N_QUANTILES,
     QR_STEP,
-    STEP_DECAY,
     PathStep,
     StateKey,
     Tree,
@@ -266,9 +265,9 @@ class TestBackpropagate:
         assert b.z is shared
         assert b.z.values.tobytes() == np.full(N_QUANTILES, 0.5).tobytes()
 
-    def test_self_loop_updates_its_action_once_per_pass(self):
-        # a failed action leaves the state as it was: s -fail-> s -fail-> s -win-> end
-        tree = make_tree()
+    @staticmethod
+    def self_loop_path(tree):
+        # a failed action leaves the state as it was: root -> s -fail-> s -fail-> s -win-> end
         (a, _) = expand_root(tree)
         s = tree.attach_outcome(a, "s", depth=1, terminal=False)
         fail, win = tree.expand(s, [("fail", 0.5), ("win", 0.5)])
@@ -280,14 +279,33 @@ class TestBackpropagate:
             PathStep(s, fail, 0.0, s),
             PathStep(s, win, 1.0, end),
         ]
-        prior = fail.z
+        return path, (a, fail, win), s
+
+    def test_self_loop_updates_its_action_once_per_backup(self):
+        tree = make_tree()
+        path, (a, fail, win), s = self.self_loop_path(tree)
+        prior, root_prior = fail.z, a.z
+        backpropagate(path)
+        # every pass counts a visit
+        assert (tree.root.visits, s.visits) == (1, 3)
+        assert (a.visits, fail.visits, win.visits) == (1, 2, 1)
+        # one update, at the deepest pass, with that pass's step
+        once = qr_update(prior, GAMMA * win.z.values, step=QR_STEP, kappa=KAPPA)
+        assert fail.z.values.tobytes() == once.values.tobytes()
+        # the root action targets what that update wrote
+        root = qr_update(root_prior, GAMMA * fail.z.values, step=QR_STEP, kappa=KAPPA)
+        assert a.z.values.tobytes() == root.values.tobytes()
+
+    def test_self_loop_updates_its_scalar_action_once_per_backup(self):
+        tree = make_tree(distributional=False)
+        path, (a, fail, win), s = self.self_loop_path(tree)
         backpropagate(path)
         assert (tree.root.visits, s.visits) == (1, 3)
         assert (a.visits, fail.visits, win.visits) == (1, 2, 1)
-        # backward from the end: the earlier pass targets what the later one wrote
-        once = qr_update(prior, GAMMA * win.z.values, step=QR_STEP, kappa=KAPPA)
-        twice = qr_update(once, GAMMA * once.values, step=QR_STEP / 2**STEP_DECAY, kappa=KAPPA)
-        assert fail.z.values.tobytes() == twice.values.tobytes()
+        # each first visit adopts its target; fail's one update is that first visit
+        assert win.value == 1.0
+        assert fail.value == pytest.approx(GAMMA)
+        assert a.value == pytest.approx(GAMMA * GAMMA)
 
     def test_only_path_nodes_get_visit_increments(self):
         tree = make_tree()
