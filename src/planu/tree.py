@@ -2,7 +2,8 @@
 
 State nodes hold visit counts; action nodes hold a quantile return
 distribution (or a scalar running mean in the ablated form), a prior, a
-visit count, and one child state node per observed stochastic outcome.
+visit count, an update count, and one child state node per observed
+stochastic outcome.
 Below the root, one node stands for each state text. Selection maximizes
 the mean return plus a curiosity bonus; backups run quantile-regression
 updates along the traversed path, one per action node however often the
@@ -26,7 +27,7 @@ N_QUANTILES = 51  # quantile values of each action node's return distribution
 C1 = 0.25  # weight of the exploration bonus in select_action
 GAMMA = 0.95  # discount of the backup targets
 QR_STEP = 2.0  # quantile-regression step of a node's first backup
-STEP_DECAY = 0.75  # exponent of the step's decay with a node's visits
+STEP_DECAY = 0.75  # exponent of the step's decay with a node's updates
 KAPPA = 0.05  # Huber threshold of the quantile loss
 
 
@@ -51,10 +52,12 @@ class ActionNode:
     z: QuantileDistribution | None = None  # None in scalar (mean-only) mode
     value: float = 0.0
     visits: int = 0
+    updates: int = 0  # backups that updated this node; sets its update step
     children: dict[str, "StateNode"] = field(default_factory=dict, repr=False)  # by state text
 
     def mean_value(self) -> float:
-        """Mean return: of the distribution, or the scalar running mean."""
+        """Mean return: of the distribution, or the scalar running mean of
+        the node's backup targets, one per update."""
         if self.z is None:
             return self.value
         return self.z.mean
@@ -163,17 +166,17 @@ def backpropagate(path: list[PathStep]) -> None:
 
     The final step's target set is {r}; an interior step's targets are
     r + GAMMA * theta'_j over the successor action node's quantiles (the
-    action actually taken next on this path). Each node's per-visit update
-    step decays as QR_STEP / N**STEP_DECAY so early backups move fast and
-    late estimates settle as visits accumulate.
+    action actually taken next on this path). A node's U-th update steps
+    QR_STEP / U**STEP_DECAY, so early backups move fast and late estimates
+    settle; the scalar mode keeps the running mean of its U targets.
 
     A path can pass one action node several times, as when a failed action
     leaves its state unchanged and the descent tries it again. Every pass
     counts a visit of the node and of its state, but only the deepest pass,
-    the first one met walking backward, updates the node, with the step of
-    its visit count at that pass. A shallower pass of the node leaves it as
-    it is, and the step before targets its fresh values. The scalar mode
-    follows the same rule.
+    the first one met walking backward, updates the node. A shallower pass
+    of the node leaves it as it is, and the step before targets its fresh
+    values. Visits drive selection; U counts backups, not passes, so a
+    pass that skipped its update does not shrink the node's later steps.
     """
     if not path:
         raise SearchError("backpropagate on an empty path")
@@ -188,19 +191,20 @@ def backpropagate(path: list[PathStep]) -> None:
         ps.state.visits += 1
         if id(a) not in updated:
             updated.add(id(a))
+            a.updates += 1
             if a.z is not None:
                 if after is None:
                     targets = np.array([ps.reward])
                 else:
                     targets = GAMMA * after.z.values
                     targets += ps.reward
-                a.z = qr_update(a.z, targets, step=QR_STEP / a.visits**STEP_DECAY, kappa=KAPPA)
+                a.z = qr_update(a.z, targets, step=QR_STEP / a.updates**STEP_DECAY, kappa=KAPPA)
             else:
                 if after is None:
                     target = ps.reward
                 else:
                     target = ps.reward + GAMMA * after.mean_value()
-                a.value += (target - a.value) / a.visits
+                a.value += (target - a.value) / a.updates
         after = a
 
 

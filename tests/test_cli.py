@@ -299,7 +299,7 @@ class TestMain:
 
 # sha256 of every byte a stock sweep and a blocks-world sweep write, less each
 # trace's header line (it carries the measured wall time and the out_dir)
-ARTIFACTS_SHA256 = "cc2bc1235095186598db88b949662a2c0fbb8c02f276730db661b9a6987282f7"
+ARTIFACTS_SHA256 = "c892a414feadb0351ad2a2ec1cd4ef1a6c3786505eec5ed92476cbc651058cee"
 
 
 def test_sweep_artifacts_pinned(tmp_path):

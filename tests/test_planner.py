@@ -194,12 +194,16 @@ class TestRunSearch:
             return qr_update(*args, **kwargs)
 
         backups = []  # (path length, distinct action nodes, qr_update calls) per iteration
+        updated = {}  # action node id -> backups whose path passed it
         backpropagate = planner.backpropagate
 
         def recorded_backpropagate(path):
             before = len(updates)
             backpropagate(path)
-            backups.append((len(path), len({id(ps.action) for ps in path}), len(updates) - before))
+            nodes = {id(ps.action) for ps in path}
+            backups.append((len(path), len(nodes), len(updates) - before))
+            for node in nodes:
+                updated[node] = updated.get(node, 0) + 1
 
         monkeypatch.setattr(tree, "qr_update", counted_qr_update)
         monkeypatch.setattr(planner, "backpropagate", recorded_backpropagate)
@@ -212,6 +216,9 @@ class TestRunSearch:
         assert result.tree.root.visits == 60
         for s in result.tree.nodes():
             assert s.visits == sum(a.visits for a in s.actions)
+            # an update step follows the backups, not the passes
+            for a in s.actions:
+                assert a.updates == updated.get(id(a), 0) <= a.visits
 
     def test_node_reprs_stay_small(self):
         # a node's repr leaves out its subtree: children and actions

@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-DIGEST_20 = "1991db38360f0c9e884722f335be5afa41bb72f076e6c41a0e96a09c5a338ceb"
+DIGEST_20 = "75918419333cdff46fcce64fc55633f6efaaf7299ae1a1dfcfa21a9ddc43d32c"
 
 
 def test_result_digest_unchanged():

@@ -15,6 +15,7 @@ from planu.tree import (
     KAPPA,
     N_QUANTILES,
     QR_STEP,
+    STEP_DECAY,
     PathStep,
     StateKey,
     Tree,
@@ -306,6 +307,29 @@ class TestBackpropagate:
         assert win.value == 1.0
         assert fail.value == pytest.approx(GAMMA)
         assert a.value == pytest.approx(GAMMA * GAMMA)
+
+    def test_update_step_counts_backups_not_passes(self):
+        # fail gets 2 passes in the first backup and 1 in the second: 3 visits, 2 updates
+        tree = make_tree()
+        path, (a, fail, win), s = self.self_loop_path(tree)
+        backpropagate(path)
+        first = fail.z
+        backpropagate([path[0], path[2], path[3]._replace(reward=0.0)])
+        assert (fail.visits, fail.updates, win.updates) == (3, 2, 2)
+        second = qr_update(first, GAMMA * win.z.values, step=QR_STEP / 2**STEP_DECAY, kappa=KAPPA)
+        assert fail.z.values.tobytes() == second.values.tobytes()
+
+    def test_scalar_value_is_the_mean_of_one_target_per_backup(self):
+        tree = make_tree(distributional=False)
+        path, (a, fail, win), s = self.self_loop_path(tree)
+        backpropagate(path)
+        backpropagate([path[0], path[2], path[3]._replace(reward=0.0)])
+        assert (a.visits, fail.visits, win.visits) == (2, 3, 2)
+        # each node's targets are weighted alike: win's were 1 and 0, fail's
+        # GAMMA * 1 and GAMMA * 0.5, a's GAMMA**2 and GAMMA**2 * 0.75
+        assert win.value == 0.5
+        assert fail.value == pytest.approx(GAMMA * 0.75)
+        assert a.value == pytest.approx(GAMMA**2 * 0.875)
 
     def test_only_path_nodes_get_visit_increments(self):
         tree = make_tree()

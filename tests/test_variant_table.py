@@ -19,7 +19,7 @@ def variant_table(*args):
 
 def test_variant_table_saves_and_pairs_its_runs(tmp_path):
     saved = tmp_path / "table.json"
-    out = variant_table("--seeds", "2", "--jobs", "2", "--out", str(saved))
+    out = variant_table("--seeds", "2", "--out", str(saved))
     assert out.returncode == 0, out.stderr
     assert "success, mean ± SE over 2 (instance, seed) runs" in out.stdout
     assert "| iterations | full | no_dist | no_ucc |" in out.stdout
@@ -30,12 +30,12 @@ def test_variant_table_saves_and_pairs_its_runs(tmp_path):
                                 for v in ("full", "no_dist", "no_ucc") for s in (0, 1)]
         assert all(v in (0.0, 0.2, 0.4, 0.6, 0.8, 1.0) for v in runs.values())
 
-    # one worker repeats the two workers' runs exactly
-    out = variant_table("--seeds", "2", "--jobs", "1", "--against", str(saved))
+    # a second run repeats the first exactly
+    out = variant_table("--seeds", "2", "--against", str(saved))
     assert out.returncode == 0, out.stderr
     paired = out.stdout.split("paired difference")[1]
     assert paired.count("+0.000 ± 0.000") == 6
 
-    out = variant_table("--seeds", "1", "--jobs", "1", "--against", str(saved))
+    out = variant_table("--seeds", "1", "--against", str(saved))
     assert out.returncode == 2
     assert "holds other runs than this table" in out.stderr

@@ -5,11 +5,14 @@ those checks cannot tell the variants apart. Low budgets still can. This
 script runs a fixed blocks-world recipe: 10 generated 6-step, 4-block
 instances at failure rate 0.4, depth limit 14, the variants full, no_dist
 and no_ucc, at 60 and 150 search iterations, over seeds 0..N-1. A run's
-success is the share of its 5 evaluation rollouts that reach the goal, so
-a cell is the mean over (instance, seed) with its standard error.
+success is the `return` of its run record (`cli.execute_run`): blocks
+world pays 1 only at the goal, so that is the share of its 5 evaluation
+rollouts that reach the goal. A cell is the mean over (instance, seed)
+with its standard error. The runs go through one worker process per CPU,
+as a sweep with `parallelism = 0`.
 
     PYTHONPATH=src python3 tools/variant_table.py [--seeds N] [--instances N]
-        [--jobs N] [--out FILE.json] [--against FILE.json]
+        [--out FILE.json] [--against FILE.json]
 
 --out saves the success of every (budget, run). --against reads such a file
 from another source tree and prints, per cell, this tree's success minus
@@ -22,16 +25,14 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 
 # one BLAS thread per process, as in the tests, before numpy is imported
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from planu.cli import EVAL_EPISODES, build_env, enumerate_runs, eval_seed, planner_config  # noqa: E402
+from planu.cli import enumerate_runs, execute_run  # noqa: E402
 from planu.config import DEFAULTS  # noqa: E402
-from planu.planner import rollout_recommended, run_search  # noqa: E402
 
 VARIANTS = ["full", "no_dist", "no_ucc"]
 BUDGETS = [60, 150]
@@ -40,16 +41,10 @@ RECIPE = {"env": "blocksworld", "n_steps": 6, "n_blocks": 4, "failure_rate": 0.4
 
 def success(spec) -> float:
     """The share of the run's evaluation rollouts that reach the goal."""
-    env = build_env(spec)
-    tree = run_search(env, None, planner_config(spec)).tree
-    reached = 0
-    for episode in range(EVAL_EPISODES):
-        total, done, _ = rollout_recommended(env, tree, seed=eval_seed(spec.seed, episode))
-        reached += done and total > 0.5
-    return reached / EVAL_EPISODES
+    return execute_run(spec)["return"]
 
 
-def run_table(seeds: int, instances: int, jobs: int) -> dict[str, dict[str, float]]:
+def run_table(seeds: int, instances: int) -> dict[str, dict[str, float]]:
     """{budget: {run id: success}} over the recipe's grid."""
     specs = [
         spec
@@ -58,11 +53,8 @@ def run_table(seeds: int, instances: int, jobs: int) -> dict[str, dict[str, floa
                                     "instances": instances, "variants": VARIANTS,
                                     "seeds": list(range(seeds))})
     ]
-    if jobs == 1:
-        values = list(map(success, specs))
-    else:
-        with ProcessPoolExecutor(jobs, mp_context=multiprocessing.get_context("spawn")) as pool:
-            values = list(pool.map(success, specs, chunksize=8))
+    with ProcessPoolExecutor(max_workers=min(os.cpu_count() or 1, len(specs))) as pool:
+        values = list(pool.map(success, specs, chunksize=8))
     table: dict[str, dict[str, float]] = {str(budget): {} for budget in BUDGETS}
     for spec, value in zip(specs, values):
         table[str(spec.config["iterations"])][spec.run_id] = value
@@ -102,18 +94,17 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, default=40, help="planner seeds 0..N-1")
     parser.add_argument("--instances", type=int, default=10)
-    parser.add_argument("--jobs", type=int, default=2, help="worker processes")
     parser.add_argument("--out", metavar="FILE.json", help="save every run's success")
     parser.add_argument("--against", metavar="FILE.json",
                         help="print the paired differences against a saved table")
     args = parser.parse_args(argv)
-    if min(args.seeds, args.instances, args.jobs) < 1:
-        parser.error("--seeds, --instances and --jobs must be at least 1")
+    if min(args.seeds, args.instances) < 1:
+        parser.error("--seeds and --instances must be at least 1")
     old = None
     if args.against:
         with open(args.against, encoding="utf-8") as fh:
             old = cells(json.load(fh))
-    table = run_table(args.seeds, args.instances, args.jobs)
+    table = run_table(args.seeds, args.instances)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(table, fh, indent=1, sort_keys=True)
