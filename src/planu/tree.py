@@ -23,7 +23,7 @@ from .errors import SearchError
 from .quantile import QuantileDistribution, init_from_prior, qr_update
 
 # Search constants. No config or workload sets another value.
-N_QUANTILES = 51  # quantile values of each action node's return distribution
+N_QUANTILES = 31  # quantile values of each action node's return distribution
 C1 = 0.25  # weight of the exploration bonus in select_action
 GAMMA = 0.95  # discount of the backup targets
 QR_STEP = 2.0  # quantile-regression step of a node's first backup

@@ -19,6 +19,7 @@ from planu.envs import BlocksworldEnv, StockEnv, generate_instance
 from planu.novelty import RndModel
 from planu.planner import PlannerConfig, rollout_recommended, run_search
 from planu.quantile import init_from_prior, midpoints, qr_update
+from planu.tree import N_QUANTILES
 
 SEEDS_20 = range(20)
 STOCK_GAIN = 100.0
@@ -139,21 +140,29 @@ def test_mode_collapsed_baseline_prefers_risky_action(capsys):
     assert realized < 0.9
 
 
-def test_bandit_quantile_convergence(capsys):
-    """[3] quantile values of a Bernoulli(0.6) arm split 60/40 around 1 and 0."""
+def _bandit_fraction(n_q):
+    """Share of n_q quantile values within 0.1 of 1.0 after 2,000 Bernoulli(0.6) updates."""
     rng = np.random.default_rng(0)
-    d = init_from_prior(0.5, 51)
+    d = init_from_prior(0.5, n_q)
     for n in range(1, 2_001):
         reward = 1.0 if rng.random() < 0.6 else 0.0
         d = qr_update(d, [reward], step=2.0 / n**0.75, kappa=0.05)
-    frac = float(np.mean(np.abs(d.values - 1.0) <= 0.1))
-    ok = abs(frac - 0.6) <= 0.08
+    return float(np.mean(np.abs(d.values - 1.0) <= 0.1))
+
+
+def test_bandit_quantile_convergence(capsys):
+    """[3] quantile values of a Bernoulli(0.6) arm split 60/40 around 1 and 0,
+    at 51 quantiles and at the search's N_QUANTILES."""
+    fracs = {n_q: _bandit_fraction(n_q) for n_q in (51, N_QUANTILES)}
+    ok = all(abs(frac - 0.6) <= 0.08 for frac in fracs.values())
     report(
         capsys,
         3,
         "quantile convergence oracle",
         ok,
-        f"fraction of 51 values within 0.1 of 1.0 = {frac:.3f} (target 0.6 +/- 0.08)",
+        "fraction of values within 0.1 of 1.0 = "
+        + ", ".join(f"{frac:.3f} of {n_q}" for n_q, frac in fracs.items())
+        + " (target 0.6 +/- 0.08)",
     )
     assert ok
 

@@ -299,7 +299,7 @@ class TestMain:
 
 # sha256 of every byte a stock sweep and a blocks-world sweep write, less each
 # trace's header line (it carries the measured wall time and the out_dir)
-ARTIFACTS_SHA256 = "c892a414feadb0351ad2a2ec1cd4ef1a6c3786505eec5ed92476cbc651058cee"
+ARTIFACTS_SHA256 = "7a072ec4862f35bb601ac38c96f3a59046032226788ddd83d8ef8ea61060b9ee"
 
 
 def test_sweep_artifacts_pinned(tmp_path):

@@ -130,7 +130,7 @@ class TestRunSearch:
 
     def test_full_variant_uses_quantile_nodes(self):
         result = run_search(StockEnv(), None, PlannerConfig(iterations=20))
-        assert all(a.z is not None and a.z.n_q == 51 for a in result.tree.root.actions)
+        assert all(a.z is not None and a.z.n_q == tree.N_QUANTILES for a in result.tree.root.actions)
 
     @pytest.mark.parametrize("variant", ["full", "no_ucc"])
     @pytest.mark.parametrize("iterations", [1, 2, 3, 4, 5])

@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-DIGEST_20 = "75918419333cdff46fcce64fc55633f6efaaf7299ae1a1dfcfa21a9ddc43d32c"
+DIGEST_20 = "a8b27cea16d57d3db67b06e3f3d63c5044dc630ece511994f6a766bbb5436e35"
 
 
 def test_result_digest_unchanged():

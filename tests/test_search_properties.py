@@ -2,9 +2,9 @@
 
 Each example builds a run the way the CLI does and searches it twice from
 fresh environments, then checks the tree both searches left: visit
-counts, one node per state text, depths, value bounds, cached means,
-expansions, the recommendation, determinism, and that the UCT variant
-never builds a curiosity model.
+counts, update counts, one node per state text, depths, quantile counts,
+value bounds, cached means, expansions, the recommendation, determinism,
+and that the UCT variant never builds a curiosity model.
 """
 
 import dataclasses
@@ -22,7 +22,7 @@ from planu.config import DEFAULTS
 from planu.envs import ENVS
 from planu.envs.overcooked import CHOP_REWARD, DELIVER_REWARD, STEP_PENALTY, WRONG_DELIVERY_PENALTY
 from planu.planner import VARIANTS, run_search
-from planu.tree import snapshot
+from planu.tree import N_QUANTILES, snapshot
 
 # slack for the rounding of the scalar running mean
 TOL = 1e-9
@@ -100,6 +100,11 @@ def test_search_invariants(env_name, variant, seed, iterations, failure_rate):
         if s.actions:
             assert [a.action_text for a in s.actions] == env.legal_actions(text)
         for a in s.actions:
+            # one update per backup that passed the node, and at least one
+            # once it has a visit
+            assert a.updates <= a.visits, (text, a.action_text)
+            assert (a.updates >= 1) == (a.visits >= 1), (text, a.action_text)
+            assert a.z is None or len(a.z.values) == N_QUANTILES, (text, a.action_text)
             values = a.z.values if a.z is not None else np.array([a.value])
             low, high = values.min(), values.max()
             assert lo - TOL <= low and high <= hi + TOL, (text, a.action_text)
