@@ -299,7 +299,7 @@ class TestMain:
 
 # sha256 of every byte a stock sweep and a blocks-world sweep write, less each
 # trace's header line (it carries the measured wall time and the out_dir)
-ARTIFACTS_SHA256 = "7a072ec4862f35bb601ac38c96f3a59046032226788ddd83d8ef8ea61060b9ee"
+ARTIFACTS_SHA256 = "c5d4269e8653eca411aad6e6ef9f7473e9320726ed94906ec105e2f9a6e0f805"
 
 
 def test_sweep_artifacts_pinned(tmp_path):

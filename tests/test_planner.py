@@ -133,8 +133,8 @@ class TestRunSearch:
         assert all(a.z is not None and a.z.n_q == tree.N_QUANTILES for a in result.tree.root.actions)
 
     @pytest.mark.parametrize("variant", ["full", "no_ucc"])
-    @pytest.mark.parametrize("iterations", [1, 2, 3, 4, 5])
-    def test_predictor_trains_every_second_iteration(self, monkeypatch, variant, iterations):
+    @pytest.mark.parametrize("iterations", range(1, 10))
+    def test_predictor_training_cadence(self, monkeypatch, variant, iterations):
         # after every TRAIN_EVERY-th iteration but the last, which nothing follows
         calls = []
 

@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-DIGEST_20 = "a8b27cea16d57d3db67b06e3f3d63c5044dc630ece511994f6a766bbb5436e35"
+DIGEST_20 = "ff84b54232b40a536f5cf76f54d6a331bc3198a813b19573e0dea1f25c36e513"
 
 
 def test_result_digest_unchanged():

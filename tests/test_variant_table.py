@@ -1,4 +1,5 @@
-"""`tools/variant_table.py` at a tiny size: its table, its saved runs and its pairing."""
+"""`tools/variant_table.py` at a tiny size: its table, its saved runs, its pairing
+and its quality gate."""
 
 import json
 import os
@@ -39,3 +40,26 @@ def test_variant_table_saves_and_pairs_its_runs(tmp_path):
     out = variant_table("--seeds", "1", "--against", str(saved))
     assert out.returncode == 2
     assert "holds other runs than this table" in out.stderr
+
+
+def test_against_fails_on_a_cell_more_than_2_se_below_zero(tmp_path):
+    saved = tmp_path / "table.json"
+    assert variant_table("--seeds", "2", "--out", str(saved)).returncode == 0
+    table = json.loads(saved.read_text(encoding="utf-8"))
+    # the saved side of one cell reads 0.5 higher, so this tree's paired
+    # difference there is -0.5 at every run, with an SE of 0
+    for run_id in table["60"]:
+        if "-no_dist-" in run_id:
+            table["60"][run_id] += 0.5
+    saved.write_text(json.dumps(table), encoding="utf-8")
+
+    out = variant_table("--seeds", "2", "--against", str(saved))
+    assert out.returncode == 1
+    assert out.stderr.splitlines() == [
+        "worse: 60 iterations, no_dist: -0.500 ± 0.000, more than 2 SE below zero"]
+
+    # one run per cell has no standard error, so it cannot pass the gate
+    assert variant_table("--seeds", "1", "--out", str(saved)).returncode == 0
+    out = variant_table("--seeds", "1", "--against", str(saved))
+    assert out.returncode == 2
+    assert "needs at least 2 runs per cell" in out.stderr

@@ -17,7 +17,9 @@ as a sweep with `parallelism = 0`.
 --out saves the success of every (budget, run). --against reads such a file
 from another source tree and prints, per cell, this tree's success minus
 that file's, paired by (instance, seed), with the standard error of the
-paired differences.
+paired differences. It is the quality gate of a change to search results:
+the script exits 1, naming each (budget, variant) cell whose paired
+difference lies more than 2 SE below zero.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import argparse
 import json
 import math
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 
 # one BLAS thread per process, as in the tests, before numpy is imported
@@ -96,7 +99,8 @@ def main(argv=None) -> int:
     parser.add_argument("--instances", type=int, default=10)
     parser.add_argument("--out", metavar="FILE.json", help="save every run's success")
     parser.add_argument("--against", metavar="FILE.json",
-                        help="print the paired differences against a saved table")
+                        help="print the paired differences against a saved table; exit 1 if a"
+                        " cell is more than 2 SE below zero")
     args = parser.parse_args(argv)
     if min(args.seeds, args.instances) < 1:
         parser.error("--seeds and --instances must be at least 1")
@@ -115,9 +119,19 @@ def main(argv=None) -> int:
     if old is not None:
         if {k: sorted(v) for k, v in old.items()} != {k: sorted(v) for k, v in new.items()}:
             parser.error(f"{args.against} holds other runs than this table")
-        print_table("paired difference (this tree - against), mean ± SE",
-                    {k: [new[k][run] - old[k][run] for run in new[k]] for k in new},
-                    "{:+.3f} ± {:.3f}")
+        if n < 2:
+            parser.error("--against needs at least 2 runs per cell for a standard error")
+        diffs = {k: [new[k][run] - old[k][run] for run in new[k]] for k in new}
+        print_table("paired difference (this tree - against), mean ± SE", diffs, "{:+.3f} ± {:.3f}")
+        worse = 0
+        for (budget, variant), xs in sorted(diffs.items()):
+            mean, se = mean_se(xs)
+            if mean < -2 * se:
+                worse += 1
+                print(f"worse: {budget} iterations, {variant}: {mean:+.3f} ± {se:.3f},"
+                      " more than 2 SE below zero", file=sys.stderr)
+        if worse:
+            return 1
     return 0
 
 
