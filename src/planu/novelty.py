@@ -3,13 +3,18 @@
 A frozen randomly initialized target network and a trainable predictor
 network are evaluated on normalized state embeddings; the squared output
 difference is the novelty reward. The predictor is trained toward the
-target on states sampled from a FIFO buffer, so frequently visited states
-lose novelty over time.
+target on states sampled from every observe so far, so frequently visited
+states lose novelty over time.
+
+The one record of observed states is a count per embedding row. Both the
+normalization statistics and the training draw are computed from those
+counts, at their two readers: the first score of a training interval,
+which freezes the statistics until the next training call, and each
+training call, which reads the live counts. Nothing is evicted.
 """
 
 from __future__ import annotations
 
-import copy
 import zlib
 
 import numpy as np
@@ -26,15 +31,16 @@ TRAIN_STEPS = 10
 INTRINSIC_WEIGHT = 0.01  # scale of the novelty reward
 DEFAULT_EMBED_DIM = 384
 OBS_CLAMP = 1.0
+OBS_EPS = 1e-8  # the least scale a dimension is divided by
 
 
-def hash_embed(text: str, d_e: int = DEFAULT_EMBED_DIM) -> np.ndarray:
+def hash_embed(text: str) -> np.ndarray:
     """Deterministic character-trigram feature hashing, L2-normalized.
 
     Offline stand-in for a sentence encoder: identical text gives an
     identical vector, the empty string gives the zero vector.
     """
-    vec = np.zeros(d_e)
+    vec = np.zeros(DEFAULT_EMBED_DIM)
     if not text:
         return vec
     padded = f"  {text} "
@@ -42,7 +48,7 @@ def hash_embed(text: str, d_e: int = DEFAULT_EMBED_DIM) -> np.ndarray:
         gram = padded[i : i + 3].encode("utf-8")
         h = zlib.crc32(gram)
         sign = 1.0 if (h >> 1) & 1 else -1.0
-        vec[h % d_e] += sign
+        vec[h % DEFAULT_EMBED_DIM] += sign
     norm = np.linalg.norm(vec)
     if norm > 0.0:
         vec /= norm
@@ -147,123 +153,102 @@ class NetworkPair:
         return b"".join(a[net].tobytes() for a in self.weights + self.biases)
 
 
-class RunningNormalizer:
-    """Per-dimension running mean/variance with output clamped to [-1, 1].
+def observed_statistics(rows: np.ndarray, counts: np.ndarray):
+    """The per-dimension mean and scale of the observed embeddings: each of
+    `rows` repeated as often as `counts` says.
 
-    The statistics are float32, like the embeddings they normalize: a
-    float64 mean would make every normalized batch, and with it every
-    matmul of the networks, float64.
-
-    The scale max(std, eps) is recomputed in place by the first normalize
-    after an update. RndModel scores through a snapshot() of the statistics
-    and trains on the live ones, so a snapshot computes its scale at most
-    once and the live scale is recomputed once per training call.
+    Returns the mean and the scale max(sqrt(M2 / N), eps), M2 being the
+    summed squared deviation from the mean over all N observes; the scale
+    is None below two observes, where normalize() only centres. Both are
+    float32, like the embeddings: int64 counts would make them, and with
+    them every normalized batch and every matmul of the networks, float64.
     """
+    n = int(counts.sum())
+    counts = counts.astype(np.float32)
+    mean = counts @ rows
+    mean /= max(n, 1)  # an empty record has mean 0, not 0/0
+    if n < 2:
+        return mean, None
+    dev = rows - mean
+    dev *= dev
+    scale = counts @ dev
+    scale /= n
+    np.sqrt(scale, out=scale)
+    return mean, np.maximum(scale, OBS_EPS, out=scale)
 
-    def __init__(self, dim: int, clamp: float = OBS_CLAMP, eps: float = 1e-8):
-        self.clamp = np.float32(clamp)
-        self.eps = np.float32(eps)
-        self.count = 0
-        self._mean = np.zeros(dim, dtype=np.float32)
-        self._m2 = np.zeros(dim, dtype=np.float32)
-        self._scale = np.empty(dim, dtype=np.float32)
-        self._scale_count = 0  # the count that _scale was computed at
-        self._lo = np.full(dim, -self.clamp)
-        self._hi = np.full(dim, self.clamp)
 
-    def update(self, x: np.ndarray):
-        self.count += 1
-        delta = x - self._mean
-        self._mean += delta / self.count
-        self._m2 += delta * (x - self._mean)
-
-    def normalize(self, x: np.ndarray) -> np.ndarray:
-        out = x - self._mean
-        if self.count >= 2:
-            if self._scale_count != self.count:
-                np.divide(self._m2, self.count, out=self._scale)
-                np.sqrt(self._scale, out=self._scale)
-                np.maximum(self._scale, self.eps, out=self._scale)
-                self._scale_count = self.count
-            out /= self._scale
-        # np.clip(out, -clamp, clamp) in place, without np.clip's per-call overhead
-        np.maximum(out, self._lo, out=out)
-        return np.minimum(out, self._hi, out=out)
-
-    def snapshot(self) -> RunningNormalizer:
-        """A copy of the current statistics that later updates leave as they are."""
-        frozen = copy.copy(self)  # shares the clamp bounds, which nothing writes
-        frozen._mean, frozen._m2 = self._mean.copy(), self._m2.copy()
-        frozen._scale = self._scale.copy()
-        return frozen
+def normalize(x: np.ndarray, mean: np.ndarray, scale: np.ndarray | None) -> np.ndarray:
+    """x, a row or a batch of rows, standardized by observed_statistics()
+    and clamped to [-OBS_CLAMP, OBS_CLAMP]; x itself is left as it is."""
+    out = x - mean
+    if scale is not None:
+        out /= scale
+    # np.clip(out, -clamp, clamp) in place, without np.clip's per-call overhead
+    np.maximum(out, -OBS_CLAMP, out=out)
+    return np.minimum(out, OBS_CLAMP, out=out)
 
 
 class StateBuffer:
-    """FIFO buffer of visited states used to train the predictor.
+    """The record of observed states: how often each row of the embedding's
+    table was observed. The predictor trains on draws from it, and the
+    normalization statistics are computed from it.
 
-    The FIFO is a ring of row ids into the embedding's table, so a state
-    visited many times is stored once and sampled by its row.
-
-    sample_weighted gives a draw's unique rows in the order of their first
-    occurrence in the draw. That order is part of the result: the
+    Every observe is kept; nothing is evicted. Rows come back in row-id
+    order, the order in which the embedding first saw their texts; the
+    search observes each state before it first scores it, so that is the
+    order of first observe. The order is part of the result: the
     predictor's gradient sums over rows, and summing floats in another
     order changes the trained weights, and with them every later search
     decision.
     """
 
-    def __init__(self, embedding: HashEmbedding, capacity: int = 10_000):
-        if capacity < 1:
-            raise ValueError("capacity must be positive")
+    def __init__(self, embedding: HashEmbedding):
         self.embedding = embedding
-        self.capacity = capacity
-        self._ring = np.zeros(capacity, dtype=np.intp)  # row id per FIFO slot
-        self._start = 0  # slot of the oldest entry
-        self._len = 0
+        self._counts = np.zeros(len(embedding.table), dtype=np.intp)  # observes per row
 
     def add(self, text: str):
         row = self.embedding.row(text)
-        if self._len == self.capacity:
-            self._ring[self._start] = row
-            self._start = (self._start + 1) % self.capacity
-        else:
-            self._ring[(self._start + self._len) % self.capacity] = row
-            self._len += 1
+        if row >= len(self._counts):  # the table grew: grow with it
+            self._counts = np.pad(self._counts, (0, len(self.embedding.table) - len(self._counts)))
+        self._counts[row] += 1
 
     def __len__(self) -> int:
-        return self._len
+        return int(self._counts.sum())
+
+    def observed(self) -> tuple[np.ndarray, np.ndarray]:
+        """The observed rows, in row-id order, and their counts."""
+        rows = np.flatnonzero(self._counts)
+        return self.embedding.table[rows], self._counts[rows]
 
     def sample_weighted(self, size: int, rng: np.random.Generator):
-        """One uniform draw of `size` entries, collapsed to its unique rows
-        with sampling weights.
+        """One uniform draw of `size` of the observes, collapsed to its
+        unique rows with sampling weights.
 
-        Returns the unique rows, in the order of their first occurrence in
-        the draw, and their counts over `size`. A weighted mean over them
-        equals the mean over the drawn entries, and costs much less when
-        the buffer holds many repeats (states revisited across iterations
-        share one row).
+        Returns the unique rows, in row-id order, and their counts over
+        `size`. The draw is rng.integers(0, len(self)), each id mapped to
+        the row whose observes it falls among when the observes are laid
+        out in row-id order. A weighted mean over the rows equals the mean
+        over the drawn entries, and costs much less when states repeat.
         """
-        if not self._len:
+        ends = np.cumsum(self._counts)  # ends[r]: the observes of rows 0..r
+        if not ends[-1]:
             raise ValueError("buffer is empty")
-        # the same draws as rng.integers(0, len), offset to ring slots: a
-        # bounded draw depends only on the width of its range
-        slots = rng.integers(self._start, self._start + self._len, size=size)
-        ids = self._ring.take(slots, mode="wrap")
-        # dict keys keep the order of first occurrence
-        unique = np.array(list(dict.fromkeys(ids.tolist())))
-        rows = self.embedding.table.take(unique, axis=0)
-        return rows, np.bincount(ids)[unique] / size
+        ids = rng.integers(0, int(ends[-1]), size=size)
+        drawn = np.bincount(ends.searchsorted(ids, side="right"))
+        rows = np.flatnonzero(drawn)
+        return self.embedding.table[rows], drawn[rows] / size
 
 
 class RndModel:
     """Frozen target network plus trainable predictor over state texts.
 
-    The model owns the embedding of every text it sees and the FIFO buffer
-    of observed states that the predictor trains on.
+    The model owns the embedding of every text it sees and the record of
+    observed states, which the predictor trains on and its inputs are
+    normalized by.
     """
 
     def __init__(self, output_gain: float = 1.0, seed: int = 0):
         self.networks = NetworkPair((DEFAULT_EMBED_DIM, *HIDDEN_SIZES), seed)
-        self.normalizer = RunningNormalizer(DEFAULT_EMBED_DIM)
         self.embedding = HashEmbedding()
         self.buffer = StateBuffer(self.embedding)
         # feature scale applied to the output difference when scoring;
@@ -271,27 +256,26 @@ class RndModel:
         self.output_gain = output_gain
         self._rng = np.random.default_rng((seed, 3))
         self._scores: dict[str, float] = {}  # text -> novelty, since the last training call
-        self._frozen: RunningNormalizer | None = None  # the normalizer that scoring reads
+        self._frozen = None  # the (mean, scale) that scoring reads, since the last training call
 
     def observe(self, text: str):
-        """Fold a visited state into the normalization statistics and the buffer."""
-        self.normalizer.update(self.embedding.embed(text))
+        """Count a visited state in the record of observed states."""
         self.buffer.add(text)
 
     def novelty_reward(self, text: str) -> float:
         """The scaled squared distance between predictor and target on text.
 
         Between two training calls each text is scored once, and memoized:
-        the first score after construction or training takes a snapshot of
-        the normalizer, and every score up to the next training call reads
-        that snapshot and the unchanged predictor, so later observes do not
-        change it.
+        the first score after construction or training computes the
+        normalization statistics from the counts observed so far, and
+        every score up to the next training call reads those statistics
+        and the unchanged predictor, so later observes do not change it.
         """
         score = self._scores.get(text)
         if score is None:
             if self._frozen is None:
-                self._frozen = self.normalizer.snapshot()
-            z = self._frozen.normalize(self.embedding.embed(text))
+                self._frozen = observed_statistics(*self.buffer.observed())
+            z = normalize(self.embedding.embed(text), *self._frozen)
             out = self.networks.forward(z)[-1]
             diff = self.output_gain * (out[PREDICTOR] - out[TARGET])
             diff *= diff
@@ -303,20 +287,22 @@ class RndModel:
 
         The loss is the squared error summed over output dims, averaged
         over each of TRAIN_STEPS batches and summed over the batches. One
-        draw from the buffer gives all of the batches' entries, whose
-        unique rows take one forward pass and one backward pass. To first
-        order in the learning rate, the step equals TRAIN_STEPS steps, one
-        per batch; the higher orders are why TRAIN_STEPS stops at 10. The
-        search calls it once every TRAIN_EVERY iterations: 2.5 batches per
-        iteration.
+        draw from every observe so far gives all of the batches' entries,
+        whose unique rows take one forward pass and one backward pass. To
+        first order in the learning rate, the step equals TRAIN_STEPS
+        steps, one per batch; the higher orders are why TRAIN_STEPS stops
+        at 10. The search calls it once every TRAIN_EVERY iterations: 2.5
+        batches per iteration.
 
-        The draw is normalized with the live statistics, every observe
-        included. The step ends the scoring interval: it forgets the
-        memoized scores and the normalizer snapshot that they read.
+        The draw is normalized with statistics computed from the live
+        counts, every observe included. The step ends the scoring
+        interval: it forgets the memoized scores and the statistics that
+        they read.
         """
         batch_size = min(TRAIN_BATCH_SIZE, len(self.buffer))
         rows, weights = self.buffer.sample_weighted(TRAIN_STEPS * batch_size, self._rng)
-        activations = self.networks.forward(self.normalizer.normalize(rows))
+        z = normalize(rows, *observed_statistics(*self.buffer.observed()))
+        activations = self.networks.forward(z)
         out = activations[-1]
         grad = out[PREDICTOR] - out[TARGET]  # 2 * (p - t) * count / batch_size, in place
         grad *= (2.0 * TRAIN_STEPS * weights).astype(np.float32)[:, None]

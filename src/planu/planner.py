@@ -118,11 +118,11 @@ def run_search(env, policy, cfg: PlannerConfig) -> SearchResult:
     In the curiosity variants, every state the descent passes through is
     scored and every state it reaches is observed. Before the backup, every
     TRAIN_EVERY-th iteration but the last trains the curiosity predictor
-    on a draw from the model's FIFO buffer of the states observed so far;
+    on a draw from the model's counts of every state observed so far;
     nothing reads the predictor after the last iteration. Between two
-    training calls the model scores each state once, with the
-    normalization statistics of the interval's first score, so a state's
-    novelty stays fixed for the interval.
+    training calls the model scores each state once, with normalization
+    statistics computed from the counts at the interval's first score, so
+    a state's novelty stays fixed for the interval.
     The recommendation is the root action with the highest mean return; no
     exploration bonus enters the extraction.
     """

@@ -1,4 +1,5 @@
-from collections import Counter, deque
+import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,10 +16,12 @@ from planu.novelty import (
     TRAIN_STEPS,
     HashEmbedding,
     NetworkPair,
+    OBS_EPS,
     RndModel,
-    RunningNormalizer,
     StateBuffer,
     hash_embed,
+    normalize,
+    observed_statistics,
 )
 
 
@@ -39,9 +42,6 @@ class TestHashEmbed:
 
     def test_distinct_text_distinct_vector(self):
         assert not np.array_equal(hash_embed("abc"), hash_embed("xyz"))
-
-    def test_dimension_parameter(self):
-        assert hash_embed("abc", 16).shape == (16,)
 
     def test_provider_memoizes_one_row_per_text(self):
         provider = HashEmbedding()
@@ -142,100 +142,138 @@ class TestMlp:
 
 
 class TestRunningNormalizer:
+    """The input normaliser: observed_statistics() over the counts of the
+    observed states, and normalize()."""
+
     def test_standardizes_gaussian_data(self):
         rng = np.random.default_rng(0)
-        norm = RunningNormalizer(3, clamp=10.0)
-        data = rng.normal(loc=[1.0, -2.0, 5.0], scale=[0.5, 2.0, 1.0], size=(5000, 3))
-        for row in data:
-            norm.update(row)
-        z = np.stack([norm.normalize(row) for row in data[:500]])
+        loc, sd = np.array([1.0, -2.0, 5.0]), np.array([0.5, 2.0, 1.0])
+        data = rng.normal(loc=loc, scale=sd, size=(5000, 3)).astype(np.float32)
+        mean, scale = observed_statistics(data, rng.integers(1, 4, size=len(data)))
+        np.testing.assert_allclose(mean, loc, atol=0.1)
+        np.testing.assert_allclose(scale, sd, rtol=0.1)
+        z = normalize(data[:500], mean, scale)
         np.testing.assert_allclose(z.mean(axis=0), 0.0, atol=0.15)
-        np.testing.assert_allclose(z.std(axis=0), 1.0, atol=0.15)
+        # the clamp at 1 leaves the median of |z|, 0.674 for a standard normal
+        np.testing.assert_allclose(np.median(np.abs(z), axis=0), 0.674, atol=0.1)
 
     def test_clamps_outliers(self):
-        norm = RunningNormalizer(1)
-        for v in (0.0, 1.0, 0.5, 0.4):
-            norm.update(np.array([v]))
-        assert norm.normalize(np.array([1e9]))[0] == 1.0
-        assert norm.normalize(np.array([-1e9]))[0] == -1.0
+        rows = np.array([[0.0], [1.0], [0.5], [0.4]], dtype=np.float32)
+        mean, scale = observed_statistics(rows, np.ones(4, dtype=np.intp))
+        assert normalize(np.array([1e9], dtype=np.float32), mean, scale)[0] == 1.0
+        assert normalize(np.array([-1e9], dtype=np.float32), mean, scale)[0] == -1.0
 
     def test_works_on_batches(self):
-        norm = RunningNormalizer(2)
-        norm.update(np.array([0.0, 0.0]))
-        norm.update(np.array([1.0, 2.0]))
-        out = norm.normalize(np.zeros((4, 2)))
+        rows = np.array([[0.0, 0.0], [1.0, 2.0]], dtype=np.float32)
+        out = normalize(np.zeros((4, 2), dtype=np.float32), *observed_statistics(rows, np.ones(2)))
         assert out.shape == (4, 2)
 
     @settings(max_examples=50, deadline=None)
     @given(
-        updates=st.lists(
-            st.lists(st.floats(-5.0, 5.0), min_size=3, max_size=3), min_size=0, max_size=8
+        observed=st.lists(
+            st.tuples(st.lists(st.floats(-5.0, 5.0), min_size=3, max_size=3), st.integers(1, 4)),
+            min_size=0, max_size=8,
         ),
         batch=st.integers(1, 4),
         seed=st.integers(0, 2**16),
     )
-    def test_normalize_matches_from_scratch_formula(self, updates, batch, seed):
-        norm = RunningNormalizer(3, eps=1e-3)
+    # an empty record: mean 0, not 0/0, and no scaling
+    @example(observed=[], batch=2, seed=0)
+    def test_normalize_matches_from_scratch_formula(self, observed, batch, seed):
+        rows = np.array([r for r, _ in observed], dtype=np.float32).reshape(-1, 3)
+        counts = np.array([c for _, c in observed], dtype=np.intp)
+        n = int(counts.sum())
+        mean, scale = observed_statistics(rows, counts)
+        if n == 0:
+            expect_mean = np.zeros(3, dtype=np.float32)
+        else:
+            expect_mean = (counts.astype(np.float32) @ rows) / np.float32(n)
+        assert mean.tobytes() == expect_mean.tobytes()
+        if n < 2:
+            assert scale is None
+        else:
+            m2 = counts.astype(np.float32) @ ((rows - mean) ** 2)
+            expect_scale = np.maximum(np.sqrt(m2 / np.float32(n)), np.float32(OBS_EPS))
+            assert scale.tobytes() == expect_scale.tobytes()
         rng = np.random.default_rng(seed)
+        for x in (rng.normal(scale=3.0, size=3), rng.normal(scale=3.0, size=(batch, 3))):
+            x = x.astype(np.float32)
+            before = x.copy()
+            expect = x - mean if scale is None else (x - mean) / scale
+            assert normalize(x, mean, scale).tobytes() == np.clip(expect, -1.0, 1.0).tobytes()
+            assert x.tobytes() == before.tobytes()
 
-        def check():
-            # the cached scale must equal the formula on the current statistics
-            for x in (rng.normal(scale=3.0, size=3), rng.normal(scale=3.0, size=(batch, 3))):
-                x = x.astype(np.float32)
-                before = x.copy()
-                if norm.count < 2:
-                    expect = np.clip(x - norm._mean, -norm.clamp, norm.clamp)
-                else:
-                    scale = np.maximum(np.sqrt(norm._m2 / norm.count), norm.eps)
-                    expect = np.clip((x - norm._mean) / scale, -norm.clamp, norm.clamp)
-                got = norm.normalize(x)
-                assert got.tobytes() == expect.tobytes()
-                assert x.tobytes() == before.tobytes()
-
-        check()
-        for u in updates:
-            norm.update(np.array(u, dtype=np.float32))
-            check()
-            check()
+    @settings(max_examples=50, deadline=None)
+    @given(observed=st.dictionaries(st.text(max_size=12), st.integers(1, 50),
+                                    min_size=1, max_size=12))
+    def test_matches_float64_mean_and_std_of_repeated_embeddings(self, observed):
+        rows = np.stack([embed32(text) for text in observed])
+        counts = np.array(list(observed.values()))
+        mean, scale = observed_statistics(rows, counts)
+        repeated = np.repeat(rows.astype(np.float64), counts, axis=0)
+        assert mean.dtype == np.float32
+        np.testing.assert_allclose(mean, repeated.mean(axis=0), rtol=1e-5, atol=1e-7)
+        if len(repeated) < 2:
+            assert scale is None
+        else:
+            assert scale.dtype == np.float32
+            np.testing.assert_allclose(
+                scale, np.maximum(repeated.std(axis=0), OBS_EPS), rtol=1e-4, atol=1e-6)
 
     def test_snapshot_is_unchanged_by_later_updates(self):
-        rng = np.random.default_rng(4)
-        norm = RunningNormalizer(3)
-        for row in rng.normal(size=(5, 3)).astype(np.float32):
-            norm.update(row)
-        x = rng.normal(size=(4, 3)).astype(np.float32)
-        snap = norm.snapshot()
-        before = [snap.count, snap._mean.tobytes(), snap._m2.tobytes(), snap.normalize(x).tobytes()]
-        assert before[3] == norm.normalize(x).tobytes()
-        for row in rng.normal(loc=2.0, size=(3, 3)).astype(np.float32):
-            norm.update(row)
-            norm.normalize(x)  # recomputes the live scale in place
-        assert norm.count == 8
-        after = [snap.count, snap._mean.tobytes(), snap._m2.tobytes(), snap.normalize(x).tobytes()]
+        # statistics computed from the counts stay as they are while the
+        # record takes more observes
+        buf = new_buffer()
+        for i in range(5):
+            buf.add(f"early-{i % 3}")
+        x = np.random.default_rng(4).normal(size=(4, 384)).astype(np.float32)
+        stats = observed_statistics(*buf.observed())
+        before = [a.tobytes() for a in stats] + [normalize(x, *stats).tobytes()]
+        for i in range(3):
+            buf.add(f"late-{i}")
+        assert len(buf) == 8
+        after = [a.tobytes() for a in stats] + [normalize(x, *stats).tobytes()]
         assert after == before
-        assert norm.normalize(x).tobytes() != before[3]
+        assert normalize(x, *observed_statistics(*buf.observed())).tobytes() != before[2]
 
 
-class DequeBuffer:
-    """The FIFO of state texts deduplicated by text while sampling: the
-    reference StateBuffer must reproduce bit for bit."""
+class RowOrderBuffer:
+    """Every observed text, kept in a list: the reference StateBuffer must
+    reproduce bit for bit.
 
-    def __init__(self, capacity):
-        self._entries = deque(maxlen=capacity)
+    A draw indexes the texts sorted by their first sighting, which is the
+    embedding's row order when nothing embeds a text before it is added,
+    with the same rng.integers draw, and dedupes them by text.
+    """
+
+    def __init__(self):
+        self._texts = []
+        self._first = {}  # text -> rank of its first sighting
 
     def add(self, text):
-        self._entries.append(text)
+        self._first.setdefault(text, len(self._first))
+        self._texts.append(text)
 
     def __len__(self):
-        return len(self._entries)
+        return len(self._texts)
+
+    def rows_and_counts(self, texts):
+        counts = Counter(texts)
+        unique = sorted(counts, key=self._first.__getitem__)
+        rows = np.array([embed32(text) for text in unique], dtype=np.float32).reshape(-1, 384)
+        return rows, np.array([counts[text] for text in unique], dtype=np.intp)
+
+    def observed(self):
+        return self.rows_and_counts(self._texts)
+
+    def draw(self, size, rng):
+        """The rows and counts of one draw of `size` entries."""
+        entries = sorted(self._texts, key=self._first.__getitem__)  # stable: row order
+        return self.rows_and_counts([entries[i] for i in rng.integers(0, len(entries), size=size)])
 
     def sample_weighted(self, size, rng):
-        idx = rng.integers(0, len(self._entries), size=size)
-        counts = {}
-        for i in idx:
-            counts[self._entries[i]] = counts.get(self._entries[i], 0) + 1
-        weights = np.array(list(counts.values()), dtype=np.float64)
-        return np.stack([embed32(text) for text in counts]), weights / size
+        rows, counts = self.draw(size, rng)
+        return rows, counts / size
 
 
 def reference_sgd_step(networks, activations, out_grad, lr):
@@ -259,7 +297,8 @@ def reference_step(model, rows, weights):
     """One SGD step of model's predictor on normalized `rows`, each weighted
     by its count over the batch size: the stacked forward pass and the
     reference backward pass."""
-    activations = model.networks.forward(model.normalizer.normalize(rows))
+    z = normalize(rows, *observed_statistics(*model.buffer.observed()))
+    activations = model.networks.forward(z)
     out = activations[-1]
     grad = out[PREDICTOR] - out[TARGET]
     grad *= (2.0 * weights).astype(np.float32)[:, None]
@@ -267,28 +306,22 @@ def reference_step(model, rows, weights):
 
 
 def reference_train(model):
-    """RndModel.train_predictor over a model whose buffer is a DequeBuffer:
-    one draw of TRAIN_STEPS batches, deduped by text in first-occurrence
+    """RndModel.train_predictor over a model whose buffer is a
+    RowOrderBuffer: one draw of TRAIN_STEPS batches, deduped by text in row
     order, and one step on the sum of the batches' gradients."""
-    entries = model.buffer._entries
-    batch_size = min(TRAIN_BATCH_SIZE, len(entries))
-    idx = model._rng.integers(0, len(entries), size=TRAIN_STEPS * batch_size)
-    counts = Counter(entries[i] for i in idx)
-    rows = np.stack([embed32(text) for text in counts])
-    reference_step(model, rows, np.array([n / batch_size for n in counts.values()]))
+    batch_size = min(TRAIN_BATCH_SIZE, len(model.buffer))
+    rows, counts = model.buffer.draw(TRAIN_STEPS * batch_size, model._rng)
+    reference_step(model, rows, counts / batch_size)
 
 
 def five_step_train(model):
     """train_predictor as it was before its steps were summed, over a model
-    whose buffer is a DequeBuffer: TRAIN_STEPS steps, each on its own draw
-    of a batch, deduped by text in first-occurrence order."""
-    entries = model.buffer._entries
+    whose buffer is a RowOrderBuffer: TRAIN_STEPS steps, each on its own
+    draw of a batch, deduped by text in row order."""
     for _ in range(TRAIN_STEPS):
-        batch_size = min(TRAIN_BATCH_SIZE, len(entries))
-        idx = model._rng.integers(0, len(entries), size=batch_size)
-        counts = Counter(entries[i] for i in idx)
-        rows = np.stack([embed32(text) for text in counts])
-        reference_step(model, rows, np.array([n / batch_size for n in counts.values()]))
+        batch_size = min(TRAIN_BATCH_SIZE, len(model.buffer))
+        rows, counts = model.buffer.draw(batch_size, model._rng)
+        reference_step(model, rows, counts / batch_size)
 
 
 # a run of buffer operations: ("add", index into a pool of shared texts,
@@ -303,8 +336,8 @@ BUFFER_OPS = st.lists(
 )
 
 
-def new_buffer(capacity=10_000):
-    return StateBuffer(HashEmbedding(), capacity)
+def new_buffer():
+    return StateBuffer(HashEmbedding())
 
 
 def texts_of(rows):
@@ -314,14 +347,6 @@ def texts_of(rows):
 
 
 class TestStateBuffer:
-    def test_fifo_eviction(self):
-        buf = new_buffer(capacity=3)
-        for i in range(5):
-            buf.add(str(i))
-        assert len(buf) == 3
-        rows, _ = buf.sample_weighted(100, np.random.default_rng(0))
-        assert set(texts_of(rows)) <= {"2", "3", "4"}
-
     def test_empty_sample_raises(self):
         with pytest.raises(ValueError):
             new_buffer().sample_weighted(1, np.random.default_rng(0))
@@ -346,10 +371,12 @@ class TestStateBuffer:
         assert drawn.tobytes() == np.concatenate(drawn_each).tobytes()
         assert one.integers(0, 2**40, size=3).tolist() == each.integers(0, 2**40, size=3).tolist()
 
+    # the "deque buffer" these tests are named for is the reference,
+    # RowOrderBuffer
     @staticmethod
-    def assert_same_as_deque_buffer(ops, capacity, seed):
+    def assert_same_as_reference(ops, seed):
         pool = [f"shared-{k}" for k in range(6)]
-        buf, ref = new_buffer(capacity), DequeBuffer(capacity)
+        buf, ref = new_buffer(), RowOrderBuffer()
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         for i, (op, arg) in enumerate(ops):
             if op == "add":
@@ -357,6 +384,10 @@ class TestStateBuffer:
                 buf.add(text)
                 ref.add(text)
                 assert len(buf) == len(ref)
+                rows, counts = buf.observed()
+                ref_rows, ref_counts = ref.observed()
+                assert rows.tobytes() == ref_rows.tobytes()
+                assert counts.tobytes() == ref_counts.tobytes()
             elif len(ref):
                 rows, weights = buf.sample_weighted(arg, rng)
                 ref_rows, ref_weights = ref.sample_weighted(arg, ref_rng)
@@ -364,28 +395,43 @@ class TestStateBuffer:
                 assert weights.tobytes() == ref_weights.tobytes()
 
     @settings(max_examples=100, deadline=None)
-    @given(ops=BUFFER_OPS, capacity=st.integers(1, 12), seed=st.integers(0, 2**16))
-    def test_sample_weighted_bit_identical_to_deque_buffer(self, ops, capacity, seed):
-        self.assert_same_as_deque_buffer(ops, capacity, seed)
+    @given(ops=BUFFER_OPS, seed=st.integers(0, 2**16))
+    def test_sample_weighted_bit_identical_to_deque_buffer(self, ops, seed):
+        self.assert_same_as_reference(ops, seed)
 
-    @pytest.mark.parametrize("capacity", [100, 1000])
-    def test_bit_identical_while_the_row_table_grows(self, capacity):
+    @pytest.mark.parametrize("seed", [100, 1000])
+    def test_bit_identical_while_the_row_table_grows(self, seed):
         # hundreds of distinct states, with repeats, so the embedding table
-        # outgrows its first rows and, at the smaller capacity, the ring wraps
-        rng = np.random.default_rng(capacity)
+        # and the counts outgrow their first rows
+        rng = np.random.default_rng(seed)
         ops = []
         for _ in range(400):
             ops.append(("add", -1 if rng.random() < 0.6 else int(rng.integers(0, 6))))
             ops.append(("sample", TRAIN_STEPS * TRAIN_BATCH_SIZE))
-        self.assert_same_as_deque_buffer(ops, capacity, seed=capacity)
+        self.assert_same_as_reference(ops, seed)
+
+    def test_counts_follow_a_table_grown_by_scoring(self):
+        # texts embedded before they are observed take the table past the
+        # counts' length; the first observe after that grows the counts
+        embedding = HashEmbedding()
+        buf = StateBuffer(embedding)
+        buf.add("first")
+        rows = [embedding.row(f"scored-{i}") for i in range(100)]
+        buf.add("scored-99")
+        buf.add("first")
+        got, counts = buf.observed()
+        assert counts.tolist() == [2, 1]
+        assert got.tobytes() == np.stack([embed32("first"), embed32("scored-99")]).tobytes()
+        drawn, weights = buf.sample_weighted(300, np.random.default_rng(0))
+        assert drawn.tobytes() == got.tobytes()
+        assert rows[-1] == 100 and weights.sum() == pytest.approx(1.0)
 
     @settings(max_examples=20, deadline=None)
     @given(adds=st.lists(st.integers(-1, 7), min_size=1, max_size=40),
-           capacity=st.integers(1, 16), seed=st.integers(0, 2**16))
-    def test_training_bit_identical_to_deque_buffer(self, adds, capacity, seed):
+           seed=st.integers(0, 2**16))
+    def test_training_bit_identical_to_deque_buffer(self, adds, seed):
         model, ref_model = RndModel(seed=seed), RndModel(seed=seed)
-        model.buffer = StateBuffer(model.embedding, capacity)
-        ref_model.buffer = DequeBuffer(capacity)
+        ref_model.buffer = RowOrderBuffer()
         for i, k in enumerate(adds):
             text = f"fresh-{i}" if k < 0 else f"shared-{k}"
             for m in (model, ref_model):
@@ -407,21 +453,19 @@ class TestStateBuffer:
     )
 
     @settings(max_examples=40, deadline=None)
-    @given(ops=TRAIN_OPS, capacity=st.one_of(st.integers(1, 16), st.just(10_000)),
-           seed=st.integers(0, 2**16))
+    @given(ops=TRAIN_OPS, seed=st.integers(0, 2**16))
     # a buffer of one state: every draw has a single unique row
-    @example(ops=[("observe", 0), ("train", 3)], capacity=16, seed=0)
-    # a ring of one slot, wrapped on every observe
-    @example(ops=[("observe", -1), ("train", 1)] * 4, capacity=1, seed=1)
+    @example(ops=[("observe", 0), ("train", 3)], seed=0)
+    # a new state before every training call
+    @example(ops=[("observe", -1), ("train", 1)] * 4, seed=1)
     # one repeated state in a longer buffer, then more than 64 states
     @example(ops=[("observe", 3)] * 5 + [("train", 2)] + [("observe", -1), ("train", 1)] * 70,
-             capacity=10_000, seed=2)
-    def test_training_bit_identical_to_reference_trainer(self, ops, capacity, seed):
+             seed=2)
+    def test_training_bit_identical_to_reference_trainer(self, ops, seed):
         """train_predictor trains the predictor to the same bits as one draw,
         a dedupe by text and one reference step per call."""
         model, ref_model = RndModel(seed=seed), RndModel(seed=seed)
-        model.buffer = StateBuffer(model.embedding, capacity)
-        ref_model.buffer = DequeBuffer(capacity)
+        ref_model.buffer = RowOrderBuffer()
         texts = set()
         for i, (op, arg) in enumerate(ops):
             if op == "observe":
@@ -437,10 +481,6 @@ class TestStateBuffer:
                         == ref_model.networks.parameter_bytes(PREDICTOR))
         for text in sorted(texts) + ["never-observed"]:
             assert model.novelty_reward(text) == ref_model.novelty_reward(text)
-
-    def test_bad_capacity_raises(self):
-        with pytest.raises(ValueError):
-            new_buffer(capacity=0)
 
     def test_sample_weighted_weights_sum_to_one(self):
         buf = new_buffer()
@@ -466,6 +506,9 @@ class TestStateBuffer:
 class TestRndModel:
     def test_novelty_nonnegative_and_deterministic(self):
         model = RndModel(seed=0)
+        # nothing observed yet: the statistics of an empty record neither
+        # centre nor scale, and the score is finite
+        assert math.isfinite(model.novelty_reward("some state"))
         assert model.novelty_reward("some state") >= 0.0
         assert model.novelty_reward("some state") == model.novelty_reward("some state")
 
@@ -476,10 +519,13 @@ class TestRndModel:
 
     def test_observe_updates_normalizer_and_buffer(self):
         model = RndModel()
-        model.novelty_reward("a")  # scores read a snapshot; observe updates the live statistics
+        model.novelty_reward("a")  # scores read frozen statistics; observe counts live
         for n, text in enumerate(("a", "b", "a"), start=1):
             model.observe(text)
-            assert model.normalizer.count == len(model.buffer) == n
+            assert len(model.buffer) == n
+        rows, counts = model.buffer.observed()
+        assert counts.tolist() == [2, 1]
+        assert rows.tobytes() == np.stack([embed32("a"), embed32("b")]).tobytes()
         rows, _ = model.buffer.sample_weighted(64, np.random.default_rng(0))
         assert {r.tobytes() for r in rows} == {embed32(t).tobytes() for t in "ab"}
 
@@ -518,12 +564,14 @@ class TestRndModel:
         for m in (model, twin):
             m.observe("b")
             m.train_predictor()
-        # the new interval's snapshot counts "b", and the predictor has moved
+        # the new interval's statistics count "b", and the predictor has moved
         assert model.novelty_reward("a") == twin.novelty_reward("a")
 
     def test_scoring_does_not_change_training(self):
         # train_predictor normalizes with the live statistics, whatever the
-        # snapshot that scoring reads
+        # statistics that scoring reads. Each state is observed before it is
+        # first scored, as in the search, so scoring leaves the embedding's
+        # row order, and with it the draw, as it is
         scored, unscored = RndModel(seed=7), RndModel(seed=7)
         for i in range(30):
             for m in (scored, unscored):
@@ -559,7 +607,7 @@ class TestRndModel:
 
         for seed in range(5):
             one, five = RndModel(seed=seed), RndModel(seed=seed)
-            five.buffer = DequeBuffer(10_000)
+            five.buffer = RowOrderBuffer()
             for i in range(n_states):
                 one.observe(f"state-{i}")
                 five.observe(f"state-{i}")
@@ -594,7 +642,7 @@ class TestRndModel:
         assert model.networks.parameter_bytes(PREDICTOR) != trained
 
     def test_search_keeps_every_array_float32(self, monkeypatch):
-        # one float64 array (say the normalizer's mean) would upcast every
+        # one float64 array (say the normalization mean) would upcast every
         # matmul downstream of it
         models = []
 
@@ -607,13 +655,13 @@ class TestRndModel:
         env = generate_instance(4, 4, failure_rate=0.2, seed=1_000)
         planner.run_search(env, None, planner.PlannerConfig(iterations=20, variant="full"))
         [model] = models
-        norm = model.normalizer
+        mean, scale = observed_statistics(*model.buffer.observed())
         arrays = {
             "embedding table": model.embedding.table,
-            "normalizer mean": norm._mean,
-            "normalizer m2": norm._m2,
-            "normalized rows": norm.normalize(model.embedding.table[:3]),
-            "normalized row": norm.normalize(model.embedding.table[0]),
+            "normalization mean": mean,
+            "normalization scale": scale,
+            "normalized rows": normalize(model.embedding.table[:3], mean, scale),
+            "normalized row": normalize(model.embedding.table[0], mean, scale),
         }
         for k, (w, b) in enumerate(zip(model.networks.weights, model.networks.biases)):
             arrays[f"weights {k}"] = w

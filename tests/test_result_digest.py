@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-DIGEST_20 = "ff84b54232b40a536f5cf76f54d6a331bc3198a813b19573e0dea1f25c36e513"
+DIGEST_20 = "2b491449adbe7964971545d9b11f5cf7fc4fbdf39327207d63cfab9a42fa8bc2"
 
 
 def test_result_digest_unchanged():
